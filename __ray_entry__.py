@@ -1551,10 +1551,10 @@ def _graph_components(sf_dir: str):
     """Connected components of the sparse part–supplier co-purchase
     graph (bipartite: node 2·partkey vs 2·suppkey+1; an edge where a
     lineitem row with l_linenumber=1 and l_quantity≤2 links them).
-    Distributed hash-min label propagation (functions/graph.py):
-    iterations of join-labels-onto-adjacency + groupby-min until the
-    int64 label-sum fixpoint. CC is invariant to duplicate edges, so
-    the edge kernel dedups per batch only — no global DISTINCT shuffle.
+    Hash-min label propagation (functions/graph.py), in the tier the
+    graph's size picks, until a round drops no label. CC is invariant
+    to duplicate edges, so the edge kernel dedups per batch only — no
+    global DISTINCT shuffle.
     Oracle: recursive-CTE min-label closure, feasible because the
     filtered graph's components are small (measured ≤93 nodes at
     sf0.1; 0.7 s in DuckDB)."""

@@ -48,18 +48,6 @@ class Example:
     token_order: List[int] = None  # type: ignore[assignment]
 
 
-def normalize_box(x1: int, y1: int, x2: int, y2: int,
-                  width: int, height: int) -> List[int]:
-    """Scale to 0-1000, clamp (``dataset_builder.py:37-46``)."""
-    w, h = max(width, 1), max(height, 1)
-    return [
-        int(max(0, min(1000, round(1000 * x1 / w)))),
-        int(max(0, min(1000, round(1000 * y1 / h)))),
-        int(max(0, min(1000, round(1000 * x2 / w)))),
-        int(max(0, min(1000, round(1000 * y2 / h)))),
-    ]
-
-
 def compute_row_intervals_db(lines: Sequence[Line], toks: TokenSOA) -> List[Tuple[int, int]]:
     """G22 row profile (``dataset_builder.py:49-80``): valley > 2,
     height > 5, full-extent fallback; empty-text tokens excluded."""

@@ -28,18 +28,26 @@ label propagation converges in a couple of rounds. Members of one LSH
 bucket at sane thresholds are near-identical, so star verification
 finds the same clusters as the quadratic sweep.
 
-Clustering: ``cluster_mode="driver"`` (default) runs union-find over
-the verified pairs on the driver — pairs ≪ corpus with sane thresholds.
-``cluster_mode="propagate"`` runs distributed min-label propagation
-(:func:`propagate_min_labels`) — per-round ``hash_join`` + ``groupby``
-over the pair set, the 100 TB path where even the pair set outgrows one
-machine.
+Clustering: the verified pairs are an edge Dataset, and clusters are
+its connected components —
+:func:`~ocr_table_extractor_to_csv_ray.functions.graph.connected_components`,
+which takes the string (or integer) ``doc_id``\ s as they are. The
+input size picks where they are computed, with
+``LABEL_COLLECT_THRESHOLD`` as the one bound: a pair set whose doubled
+adjacency has at most that many rows is collected once and solved on
+the driver; up to that many distinct ids, the label vector lives on the
+driver and each round is one streaming pass; above it, rounds are
+distributed joins, the ``{doc_id: cluster_id}`` map stays a Dataset and
+the non-canonical ids are removed with an anti-join — a large pair set
+is never collected. A cluster graph that does not converge in the
+64-round budget raises ``RuntimeError`` rather than leaving several
+labels in one cluster.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 import pandas as pd
@@ -144,10 +152,6 @@ class MinHashStage:
             [c for c in ("minhash", "n_shingles") if c in batch.column_names])
         out = out.append_column("minhash", col)
         return out.append_column("n_shingles", pa.array(n_sh))
-
-
-def estimated_jaccard(sig_a: np.ndarray, sig_b: np.ndarray) -> float:
-    return float(np.mean(sig_a == sig_b))
 
 
 # ---------------------------------------------------------------------------
@@ -389,128 +393,6 @@ def _empty_pairs(like: np.ndarray) -> pd.DataFrame:
     return pd.DataFrame({"left": like[:0], "right": like[:0]})
 
 
-def _collect_pairs(pairs_ds) -> pd.DataFrame:
-    """Materialize the (small) verified-pair set; normalize the empty
-    case (an empty grouped dataset has no columns at all)."""
-    df = pairs_ds.to_pandas()
-    if len(df) == 0 or "left" not in df.columns:
-        return pd.DataFrame({"left": [], "right": []})
-    return df[["left", "right"]].drop_duplicates()
-
-
-class UnionFind:
-    def __init__(self) -> None:
-        self.parent: Dict = {}
-
-    def find(self, x):
-        p = self.parent.setdefault(x, x)
-        while p != x:
-            self.parent[x] = p = self.parent.setdefault(p, p)
-            x, p = p, self.parent[p]
-        return x
-
-    def union(self, a, b) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            # smaller id wins → cluster id == min member id
-            lo, hi = (ra, rb) if ra <= rb else (rb, ra)
-            self.parent[hi] = lo
-
-
-def clusters_from_pairs(pairs: Iterable[Tuple]) -> Dict:
-    """Union-find over verified pairs → {doc_id: cluster_id(min id)}."""
-    uf = UnionFind()
-    for a, b in pairs:
-        uf.union(a, b)
-    return {x: uf.find(x) for x in list(uf.parent)}
-
-
-def propagate_min_labels(pairs_ds, max_rounds: int = 10):
-    """Distributed connected components over a verified-pair edge
-    Dataset: min-label propagation, the documented 100 TB replacement
-    for the driver union-find.
-
-    Each round: every node sends its current label to its neighbors
-    (one ``hash_join`` of the symmetric edge list against the label
-    table), then ``groupby(node).min(label)`` folds incoming labels.
-    Converges to label = min id of the connected component in diameter
-    rounds (star-capped buckets keep diameters tiny); a streaming
-    XOR-hash checksum detects the fixed point without collecting the
-    label table. Returns a Dataset ``(node, label)``.
-    """
-    from .agg import grouped_agg
-    from .join import hash_join
-
-    def _sym(t: pa.Table) -> pa.Table:
-        l = t["left"].combine_chunks() if isinstance(t["left"], pa.ChunkedArray) else t["left"]
-        r = t["right"].combine_chunks() if isinstance(t["right"], pa.ChunkedArray) else t["right"]
-        return pa.table({
-            "node": pa.concat_arrays([l, r]),
-            "nbr": pa.concat_arrays([r, l]),
-        })
-
-    edges = pairs_ds.map_batches(_sym, batch_format="pyarrow").materialize()
-
-    def _self_min(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        b["label"] = np.where(b["node"] < b["label"], b["node"], b["label"])
-        return b
-
-    # fixed block count: the per-round union+groupby would otherwise
-    # multiply tiny blocks every iteration and scheduling overhead
-    # doubles per round
-    n_blocks = max(8, edges.num_blocks() if hasattr(edges, "num_blocks") else 8)
-    labels = (grouped_agg(edges, "node", {"label": ("nbr", "min")},
-                          num_buckets=16)
-              .map_batches(_self_min, batch_format="pandas")
-              .select_columns(["node", "label"])
-              .repartition(n_blocks).materialize())
-
-    def _checksum(ds) -> int:
-        def _h(b: pd.DataFrame) -> pd.DataFrame:
-            # astype(str) first: the physical dtype of a column can flip
-            # between rounds (object vs arrow string) and would make the
-            # checksum unstable on identical content
-            h = (pd.util.hash_pandas_object(b["node"].astype(str), index=False).to_numpy()
-                 ^ pd.util.hash_pandas_object(b["label"].astype(str), index=False).to_numpy())
-            s = int(h.astype(np.uint64).sum(dtype=np.uint64) & np.uint64(0x7FFFFFFFFFFFFFFF))
-            return pd.DataFrame({"h": [s]})
-        return ds.map_batches(_h, batch_format="pandas").sum("h")
-
-    prev = _checksum(labels)
-    converged = False
-    for _ in range(max_rounds):
-        msgs = hash_join(edges, labels, key="node")     # (node, nbr, label)
-
-        def _to_nbr(b: pd.DataFrame) -> pd.DataFrame:
-            return pd.DataFrame({"node": b["nbr"], "label": b["label"]})
-
-        incoming = msgs.map_batches(_to_nbr, batch_format="pandas")
-        from .graph import _sever_stats
-        labels = _sever_stats(
-            grouped_agg(labels.union(incoming), "node",
-                        {"label": ("label", "min")}, num_buckets=16)
-            .select_columns(["node", "label"])
-            .repartition(n_blocks).materialize())
-        cur = _checksum(labels)
-        if cur == prev:
-            converged = True
-            break
-        prev = cur
-    if not converged:
-        # a component with diameter > max_rounds (long cross-bucket
-        # similarity chains — STAR_CAP only bounds intra-bucket
-        # diameter) would leave several local-min labels → extra
-        # surviving duplicates. Surface it instead of silently
-        # under-deduplicating.
-        import logging
-        logging.getLogger(__name__).warning(
-            "propagate_min_labels: not converged after %d rounds — "
-            "some clusters may carry multiple labels (raise max_rounds)",
-            max_rounds)
-    return labels
-
-
 def _drop_filter(ds, drop: set, id_column: str):
     """Vectorized broadcast anti-filter: drop rows whose id is in the
     (small) non-canonical-duplicate set."""
@@ -529,42 +411,36 @@ def _drop_filter(ds, drop: set, id_column: str):
 LABEL_COLLECT_THRESHOLD = 1_000_000
 
 
-def _cluster_and_filter(ds, verified_pairs_ds, id_column: str,
-                        cluster_mode: str = "driver",
-                        label_collect_threshold: Optional[int] = None):
+def _cluster_and_filter(ds, verified_pairs_ds, id_column: str):
     """Verified-pair Dataset → (survivors_ds, cluster).
 
-    ``cluster`` is a ``{doc_id: cluster_id}`` dict when the label set is
-    small enough to collect (≤ ``label_collect_threshold`` rows), else —
-    propagate mode only — the labels **Dataset** ``(node, label)`` stays
-    distributed: the non-canonical ids (node ≠ label) are applied to the
-    corpus with a partitioned anti-join (``hash_semi_join(anti=True)``),
-    so nothing proportional to duplicate-cluster membership ever visits
-    the driver (VERDICT r3 watch item #4)."""
-    if label_collect_threshold is None:
-        label_collect_threshold = LABEL_COLLECT_THRESHOLD
-    if cluster_mode == "propagate":
-        labels_ds = propagate_min_labels(verified_pairs_ds)
-        sch = labels_ds.schema(fetch_if_missing=True)
-        if sch is None or "node" not in sch.names:
-            return ds, {}                      # no verified pair at all
-        n_labels = labels_ds.count()
-        if n_labels == 0:
-            return ds, {}
-        if n_labels > label_collect_threshold:
-            from .join import hash_semi_join
+    Clusters are the connected components of the verified pairs
+    (:func:`~ocr_table_extractor_to_csv_ray.functions.graph.connected_components`,
+    cluster id = min member id), with ``LABEL_COLLECT_THRESHOLD`` — read
+    at call time — as both its local and its broadcast tier threshold.
+    ``cluster`` is a ``{doc_id: cluster_id}`` dict when the component
+    table has at most that many rows; otherwise it is the component
+    **Dataset** ``(node, component)``, and the non-canonical ids
+    (node ≠ component) are applied to the corpus with a partitioned
+    anti-join (``hash_semi_join(anti=True)``), so nothing proportional
+    to duplicate-cluster membership ever visits the driver."""
+    from .graph import connected_components
 
-            def _noncanon(b: pd.DataFrame) -> pd.DataFrame:
-                m = b["node"] != b["label"]
-                return pd.DataFrame({id_column: b["node"][m]})
+    threshold = LABEL_COLLECT_THRESHOLD
+    comp = connected_components(verified_pairs_ds, src="left", dst="right",
+                                local_threshold=threshold,
+                                broadcast_threshold=threshold)
+    if comp.count() > threshold:
+        from .join import hash_semi_join
 
-            drop_ds = labels_ds.map_batches(_noncanon, batch_format="pandas")
-            return hash_semi_join(ds, drop_ds, key=id_column, anti=True), labels_ds
-        pdf = labels_ds.to_pandas()
-        cluster = dict(zip(pdf["node"], pdf["label"]))
-    else:
-        pairs = _collect_pairs(verified_pairs_ds)
-        cluster = clusters_from_pairs(zip(pairs["left"], pairs["right"]))
+        def _noncanon(t: pa.Table) -> pa.Table:
+            m = pc.not_equal(t["node"], t["component"])
+            return pa.table({id_column: t["node"].filter(m)})
+
+        drop_ds = comp.map_batches(_noncanon, batch_format="pyarrow")
+        return hash_semi_join(ds, drop_ds, key=id_column, anti=True), comp
+    pdf = comp.to_pandas()     # an empty result has no columns at all
+    cluster = dict(zip(pdf["node"], pdf["component"])) if len(pdf) else {}
     drop = {d for d, c in cluster.items() if d != c}
     if drop:
         return _drop_filter(ds, drop, id_column), cluster
@@ -626,7 +502,7 @@ def minhash_signatures(ds, n_perm: int = 128, k: int = 3, seed: int = 7,
 
 def minhash_lsh_dedup(ds, n_perm: int = 128, n_bands: int = 16, k: int = 3,
                       threshold: float = 0.8, seed: int = 7,
-                      concurrency: int = 4, cluster_mode: str = "driver"):
+                      concurrency: int = 4):
     """Full near-dup pipeline; returns ``(survivors_ds, cluster_map)``.
 
     survivors_ds = input rows minus non-canonical near-dup members
@@ -657,20 +533,11 @@ def minhash_lsh_dedup(ds, n_perm: int = 128, n_bands: int = 16, k: int = 3,
         functools.partial(_minhash_verify_group, threshold=threshold),
         batch_format="pandas",
     )
-    return _cluster_and_filter(ds, verified, "doc_id", cluster_mode)
+    return _cluster_and_filter(ds, verified, "doc_id")
 
 
 # ---------------------------------------------------------------------------
 # n-gram Jaccard dedup (exact verification variant)
-
-def ngram_jaccard(a: str, b: str, k: int = 3) -> float:
-    sa, sb = shingle_hashes(a, k), shingle_hashes(b, k)
-    if len(sa) == 0 and len(sb) == 0:
-        return 1.0
-    inter = len(np.intersect1d(sa, sb, assume_unique=True))
-    union = len(sa) + len(sb) - inter
-    return inter / union if union else 0.0
-
 
 def _jaccard_hashes(sa: np.ndarray, sb: np.ndarray) -> float:
     """Exact Jaccard of two unique shingle-hash arrays."""
@@ -704,8 +571,7 @@ def _ngram_verify_group(g: pd.DataFrame, k: int, threshold: float,
 
 
 def ngram_jaccard_dedup(ds, k: int = 3, threshold: float = 0.7,
-                        n_perm: int = 128, n_bands: int = 32, seed: int = 7,
-                        cluster_mode: str = "driver"):
+                        n_perm: int = 128, n_bands: int = 32, seed: int = 7):
     """MinHash-LSH candidate generation + EXACT n-gram Jaccard verify.
 
     Wider banding (more bands → lower LSH threshold) so exact
@@ -714,12 +580,17 @@ def ngram_jaccard_dedup(ds, k: int = 3, threshold: float = 0.7,
     Verification is fully distributed (round-3 fix of VERDICT r2
     "What's wrong" #4): candidate texts are joined onto the
     dup-bucket rows with :func:`hash_join` and exact Jaccard runs
-    inside per-bucket ``map_groups`` tasks — only candidate doc IDS
-    (8 B each) ever reach the driver (for the broadcast ``is_in``
-    text filter), never a text column.
+    inside per-bucket ``map_groups`` tasks — never a text column
+    reaches the driver. Up to ``DUP_KEYS_COLLECT_THRESHOLD`` candidate
+    rows, the candidate doc IDS (8 B each) are collected for a broadcast
+    ``is_in`` text filter; above it, the texts are filtered with a
+    partitioned ``hash_semi_join`` on the candidate-id Dataset, so
+    nothing candidate-proportional visits the driver.
     """
     import functools
     import ray
+
+    from .join import hash_join, hash_semi_join
 
     sigs = minhash_signatures(ds, n_perm=n_perm, k=k, seed=seed)
     key_cols = ["band", "band_key"]
@@ -732,25 +603,28 @@ def ngram_jaccard_dedup(ds, k: int = 3, threshold: float = 0.7,
         return ds, {}
     dup_rows = (_filter_dup_rows(keys_only, key_cols, keys_ref)
                 .select_columns(["__bkey", "doc_id"]).materialize())
-    # candidate doc IDS only (bounded by dup-bucket membership, 8 B/row)
-    cand = dup_rows.select_columns(["doc_id"]).to_pandas()
-    if len(cand) == 0:
+    n_cand = dup_rows.count()
+    if n_cand == 0:
         return ds, {}
-    id_arr = pa.array(np.unique(cand["doc_id"].to_numpy()))
-    ids_ref = ray.put(id_arr)
+    cand = dup_rows.select_columns(["doc_id"])
+    texts_ds = ds.select_columns(["doc_id", "text"])
+    if n_cand > DUP_KEYS_COLLECT_THRESHOLD:
+        texts_ds = hash_semi_join(texts_ds, cand, key="doc_id")
+    else:
+        ids_ref = ray.put(pa.array(np.unique(
+            cand.to_pandas()["doc_id"].to_numpy())))
 
-    def _text_filter(t: pa.Table) -> pa.Table:
-        return t.filter(pc.is_in(t["doc_id"], value_set=ray.get(ids_ref)))
+        def _text_filter(t: pa.Table) -> pa.Table:
+            return t.filter(pc.is_in(t["doc_id"],
+                                     value_set=ray.get(ids_ref)))
 
-    texts_ds = (ds.select_columns(["doc_id", "text"])
-                .map_batches(_text_filter, batch_format="pyarrow"))
-    from .join import hash_join
+        texts_ds = texts_ds.map_batches(_text_filter, batch_format="pyarrow")
     with_text = hash_join(dup_rows, texts_ds, key="doc_id")
     verified = with_text.groupby("__bkey").map_groups(
         functools.partial(_ngram_verify_group, k=k, threshold=threshold),
         batch_format="pandas",
     )
-    return _cluster_and_filter(ds, verified, "doc_id", cluster_mode)
+    return _cluster_and_filter(ds, verified, "doc_id")
 
 
 # ---------------------------------------------------------------------------
@@ -799,8 +673,7 @@ def _simhash_verify_group(g: pd.DataFrame, max_hamming: int,
     return pd.DataFrame({"left": ids[iu[keep]], "right": ids[ju[keep]]})
 
 
-def simhash_dedup(ds, max_hamming: int = 3, concurrency: int = 4,
-                  cluster_mode: str = "driver"):
+def simhash_dedup(ds, max_hamming: int = 3, concurrency: int = 4):
     """SimHash near-dup: 4×16-bit band buckets (pigeonhole: any pair
     within Hamming ≤ 3 of 64 bits shares at least one of 4 bands) →
     per-bucket Hamming verify inside ``map_groups`` → clusters."""
@@ -836,7 +709,7 @@ def simhash_dedup(ds, max_hamming: int = 3, concurrency: int = 4,
         functools.partial(_simhash_verify_group, max_hamming=max_hamming),
         batch_format="pandas",
     )
-    return _cluster_and_filter(ds, verified, "doc_id", cluster_mode)
+    return _cluster_and_filter(ds, verified, "doc_id")
 
 
 # ---------------------------------------------------------------------------
@@ -872,8 +745,7 @@ def _table_planes(dim: int, n_planes: int, seed: int,
 
 def embedding_neardup(ds, threshold: float = 0.97, n_planes: int = 14,
                       seed: int = 11, id_column: str = "vec_id",
-                      vec_column: str = "embedding",
-                      cluster_mode: str = "driver", n_tables: int = 1):
+                      vec_column: str = "embedding", n_tables: int = 1):
     """Random-hyperplane LSH buckets → within-bucket pairwise cosine ≥
     threshold (inside ``map_groups`` bucket tasks) → clusters.
     Returns (survivors, cluster_map).
@@ -928,7 +800,7 @@ def embedding_neardup(ds, threshold: float = 0.97, n_planes: int = 14,
                           id_column=id_column),
         batch_format="pandas",
     )
-    return _cluster_and_filter(ds, verified, id_column, cluster_mode)
+    return _cluster_and_filter(ds, verified, id_column)
 
 
 # ---------------------------------------------------------------------------

@@ -21,10 +21,6 @@ import pandas as pd
 import pyarrow as pa
 
 
-def _md5_prefix(value: str) -> str:
-    return hashlib.md5(value.encode("utf-8")).hexdigest()[:8]
-
-
 def rate_to_threshold(rate: float) -> str:
     """Keep-rate → threshold for a lexicographic ``<`` compare against an
     8-hex-digit md5 prefix.  ``rate >= 1.0`` returns ``"g"`` — every hex

@@ -2,13 +2,13 @@
 
 Media travel through the engine as ``binary`` columns (or ``media_ref``
 pointers) plus typed metadata — NEVER decoded inside geometry stages
-(SURVEY.md §7.3.6). Decode / resize / feature-extract / frame-sample
-are actor-pool ``map_batches`` stages with small ``batch_size`` (decoded
+(SURVEY.md §7.3.6). Image decode and feature extraction are
+actor-pool ``map_batches`` stages with small ``batch_size`` (decoded
 frames are ~3 orders of magnitude larger than their source bytes, so
 ``batch_size × concurrency × frame_bytes`` must fit the worker heap).
 
-The image/audio codec libraries are NOT in this container, so each
-stage's ``__init__`` probes for the real backend (PIL / soundfile) and
+The image codec library may be missing, so the decode stage's
+``__init__`` probes for the real backend (PIL) and
 otherwise uses a DETERMINISTIC FAKE decoder (pure function of the
 payload bytes) — clearly marked below. The Ray-side plumbing (schema,
 actor signature, batch sizing, output layout) is real and tested.
@@ -84,34 +84,6 @@ class ImageDecodeStage:
         return out
 
 
-class ImageResizeStage:
-    """Nearest-neighbor resize of decoded ``pixels`` — REAL vectorized
-    math (no codec needed): index-grid gather per batch."""
-
-    def __init__(self, out_h: int = 16, out_w: int = 16) -> None:
-        self.oh, self.ow = out_h, out_w
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        if n == 0:
-            return batch
-        h = batch["height"][0].as_py()
-        w = batch["width"][0].as_py()
-        col = batch["pixels"].combine_chunks() if isinstance(batch["pixels"], pa.ChunkedArray) else batch["pixels"]
-        flat = np.asarray(col.values.to_numpy(zero_copy_only=False), dtype=np.uint8)
-        imgs = flat.reshape(n, h, w, 3)
-        ys = (np.arange(self.oh) * h // self.oh)
-        xs = (np.arange(self.ow) * w // self.ow)
-        small = imgs[:, ys[:, None], xs[None, :], :]          # gather, vectorized
-        out_flat = small.reshape(n, -1)
-        out = batch.drop_columns(["pixels", "height", "width"])
-        out = out.append_column("pixels", pa.FixedSizeListArray.from_arrays(
-            pa.array(out_flat.reshape(-1)), self.oh * self.ow * 3))
-        out = out.append_column("height", pa.array([self.oh] * n, pa.int32()))
-        out = out.append_column("width", pa.array([self.ow] * n, pa.int32()))
-        return out
-
-
 class ImageFeatureStage:
     """Decoded pixels → feature vector. REAL features (channel means /
     stds + 8-bin luma histogram), vectorized over the batch — a model
@@ -137,150 +109,6 @@ class ImageFeatureStage:
         if "features" in out.column_names:
             out = out.drop_columns(["features"])
         return out.append_column("features", pa.FixedSizeListArray.from_arrays(
-            pa.array(feats.reshape(-1)), feats.shape[1]))
-
-
-class FrameSampleStage:
-    """Video → every k-th frame as one row (``flat_map`` shape: one
-    input row yields ``n_frames`` output rows). The container decode is
-    stubbed (deterministic frame count from the payload); the row
-    explosion, ordering metadata and downstream compatibility with
-    :class:`ImageDecodeStage` are real."""
-
-    def __init__(self, every_k: int = 10, max_frames: int = 8) -> None:
-        self.k = every_k
-        self.max_frames = max_frames
-        try:  # pragma: no cover
-            import av  # noqa: F401
-            self._backend = "pyav"
-        except ImportError:
-            self._backend = "fake"
-
-    def _frame_count_pyav(self, payload: bytes) -> int:
-        """Real path: container metadata frame count, falling back to a
-        duration × rate estimate when the stream doesn't declare one."""
-        import io
-        import av
-        with av.open(io.BytesIO(payload)) as container:
-            stream = container.streams.video[0]
-            if stream.frames:
-                return int(stream.frames)
-            if stream.duration and stream.average_rate:
-                return max(1, int(stream.duration * stream.time_base
-                                  * stream.average_rate))
-            return max(1, sum(1 for _ in container.decode(stream)))
-
-    def _frame_count(self, payload: bytes) -> int:
-        if self._backend == "pyav":
-            try:
-                return self._frame_count_pyav(payload)
-            except Exception:
-                import logging
-                logging.getLogger(__name__).warning(
-                    "video probe failed (%d bytes); using synthetic frame count",
-                    len(payload or b""))
-        digest = hashlib.blake2b(payload or b"", digest_size=2).digest()
-        return 30 + int.from_bytes(digest, "little") % 270     # 30..299 frames
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        ids = batch["media_id"].to_pylist()
-        payloads = batch["payload"].to_pylist()
-        o_id, o_frame, o_payload = [], [], []
-        for mid, p in zip(ids, payloads):
-            total = self._frame_count(p or b"")
-            taken = list(range(0, total, self.k))[: self.max_frames]
-            for f in taken:
-                o_id.append(mid)
-                o_frame.append(f)
-                # fake per-frame payload: parent bytes + frame index tag
-                o_payload.append((p or b"") + f":{f}".encode())
-        return pa.table({
-            "media_id": pa.array(o_id, batch.schema.field("media_id").type),
-            "frame_no": pa.array(o_frame, pa.int32()),
-            "payload": pa.array(o_payload, pa.binary()),
-        })
-
-
-class AudioDecodeStage:
-    """``(media_id, payload)`` → PCM waveform column (float32, fixed
-    sample count). Codec stubbed (deterministic waveform from the
-    payload digest); an installed ``soundfile``/ffmpeg backend would
-    slot into ``_decode`` with the same contract."""
-
-    def __init__(self, n_samples: int = 8000) -> None:
-        self.n = n_samples
-        try:
-            import soundfile  # noqa: F401
-            self._backend = "soundfile"
-        except ImportError:
-            self._backend = "fake"
-
-    def _decode_soundfile(self, payload: bytes) -> np.ndarray:
-        """Real path: decode, mix to mono, pad/trim to the fixed sample
-        count (waveform batches must be rectangular)."""
-        import io
-        import soundfile as sf
-        data, _rate = sf.read(io.BytesIO(payload), dtype="float32")
-        wav = np.asarray(data, dtype=np.float32)
-        if wav.ndim > 1:
-            wav = wav.mean(axis=1)
-        if len(wav) >= self.n:
-            return wav[: self.n]
-        return np.pad(wav, (0, self.n - len(wav)))
-
-    def _decode(self, payload: bytes) -> np.ndarray:
-        if self._backend == "soundfile":
-            try:
-                return self._decode_soundfile(payload)
-            except Exception:
-                import logging
-                logging.getLogger(__name__).warning(
-                    "audio decode failed (%d bytes); substituting fake waveform",
-                    len(payload or b""))
-        seed = int.from_bytes(hashlib.blake2b(payload or b"", digest_size=8).digest(), "little")
-        rng = np.random.default_rng(seed)
-        t = np.arange(self.n, dtype=np.float32)
-        freq = 50 + (seed % 400)
-        return (np.sin(2 * np.pi * freq * t / 8000).astype(np.float32)
-                + 0.1 * rng.standard_normal(self.n).astype(np.float32))
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        payloads = batch["payload"].to_pylist()
-        n = len(payloads)
-        wav = np.empty((n, self.n), np.float32)
-        for i, p in enumerate(payloads):
-            wav[i] = self._decode(p or b"")
-        out = batch
-        if "waveform" in out.column_names:
-            out = out.drop_columns(["waveform"])
-        return out.append_column("waveform", pa.FixedSizeListArray.from_arrays(
-            pa.array(wav.reshape(-1)), self.n))
-
-
-class AudioFeatureStage:
-    """Waveform → REAL spectral features, fully vectorized over the
-    batch: RMS, zero-crossing rate, and an 8-band log-power spectrum
-    (rfft). A learned audio embedding would use identical plumbing."""
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        if n == 0:
-            return batch
-        col = batch["waveform"].combine_chunks() if isinstance(batch["waveform"], pa.ChunkedArray) else batch["waveform"]
-        ns = col.type.list_size
-        wav = np.asarray(col.values.to_numpy(zero_copy_only=False),
-                         dtype=np.float32).reshape(n, ns)
-        rms = np.sqrt((wav ** 2).mean(axis=1))
-        zcr = (np.diff(np.signbit(wav), axis=1) != 0).mean(axis=1)
-        spec = np.abs(np.fft.rfft(wav, axis=1)) ** 2
-        bands = np.stack([b.mean(axis=1) for b in
-                          np.array_split(spec, 8, axis=1)], axis=1)
-        logb = np.log1p(bands).astype(np.float32)
-        feats = np.concatenate([rms[:, None], zcr[:, None], logb], axis=1).astype(np.float32)
-        out = batch
-        if "audio_features" in out.column_names:
-            out = out.drop_columns(["audio_features"])
-        return out.append_column("audio_features", pa.FixedSizeListArray.from_arrays(
             pa.array(feats.reshape(-1)), feats.shape[1]))
 
 

@@ -1,17 +1,23 @@
 """connected_components vs a pure-Python union-find oracle.
 
-Random graphs (several seeds/densities), a long chain (diameter
-stress: propagation must iterate, not just seed), disjoint cliques,
-self-loops/duplicate edges, empty input, and determinism.
+Random graphs (several seeds/densities), int64 and string ids in every
+tier, a long chain (diameter stress: propagation must iterate, not just
+seed), disjoint cliques, self-loops/duplicate edges, empty input, and
+determinism.
 """
+
+import logging
 
 import numpy as np
 import pyarrow as pa
 import pytest
 import ray.data as rd
 
+from ocr_table_extractor_to_csv_ray.functions import graph
 from ocr_table_extractor_to_csv_ray.functions.graph import (
     connected_components)
+
+ID_DTYPES = ("int64", "string")
 
 
 def _uf_components(pairs):
@@ -30,9 +36,17 @@ def _uf_components(pairs):
     return sorted((n, find(n)) for n in parent)
 
 
+def _as_ids(pairs, dtype):
+    # unpadded names, so string order differs from numeric order
+    # ("n10" < "n9") and the oracle's min follows the string order
+    if dtype == "int64":
+        return pairs
+    return [(f"n{a}", f"n{b}") for a, b in pairs]
+
+
 def _run(pairs, **kw):
-    src = pa.array([a for a, _ in pairs], pa.int64())
-    dst = pa.array([b for _, b in pairs], pa.int64())
+    src = pa.array([a for a, _ in pairs])
+    dst = pa.array([b for _, b in pairs])
     ds = rd.from_arrow(pa.table({"src": src, "dst": dst}))
     if len(pairs) > 3:
         ds = ds.repartition(4)
@@ -57,13 +71,15 @@ def test_random_graphs_match_union_find(ray_session, seed, n, m):
 ])
 def test_all_three_tiers_bit_equal(ray_session, tier_kw):
     # the same graph through every size-adaptive tier must produce the
-    # identical component table (the tiers differ only in WHERE the
-    # identical min-update rule runs)
+    # identical component table for every id dtype (the tiers differ
+    # only in WHERE the identical min-update rule runs)
     rng = np.random.default_rng(11)
     pairs = [(int(a), int(b))
              for a, b in zip(rng.integers(0, 70, 90),
                              rng.integers(0, 70, 90))]
-    assert _run(pairs, **tier_kw) == _uf_components(pairs)
+    for dtype in ID_DTYPES:
+        ids = _as_ids(pairs, dtype)
+        assert _run(ids, **tier_kw) == _uf_components(ids), dtype
 
 
 def test_long_chain_needs_propagation(ray_session):
@@ -91,13 +107,16 @@ def test_disjoint_cliques_and_duplicates(ray_session):
     {"local_threshold": 0, "broadcast_threshold": 0},  # join tier
 ])
 def test_pointer_jumping_equivalent_all_tiers(ray_session, tier_kw):
-    # same fixpoint as hash-min on random graphs, in every tier
+    # same fixpoint as hash-min on random graphs, in every tier, for
+    # every id dtype
     rng = np.random.default_rng(23)
     pairs = [(int(a), int(b))
              for a, b in zip(rng.integers(0, 70, 90),
                              rng.integers(0, 70, 90))]
-    assert (_run(pairs, mode="pointer_jumping", **tier_kw)
-            == _uf_components(pairs))
+    for dtype in ID_DTYPES:
+        ids = _as_ids(pairs, dtype)
+        assert (_run(ids, mode="pointer_jumping", **tier_kw)
+                == _uf_components(ids)), dtype
 
 
 def test_pointer_jumping_contracts_long_chain(ray_session):
@@ -147,6 +166,25 @@ def test_join_tier_block_count_stays_bounded(ray_session):
         assert sorted(
             (r["node"], r["component"]) for r in out.take_all()
         ) == [(i, 0) for i in range(61)]
+
+
+def test_sever_stats_reaches_ray_lineage(ray_session):
+    # _sever_stats reaches into Ray internals and only logs when they
+    # move; this pins the attribute so a Ray upgrade that moves it
+    # fails here instead of silently regrowing the stats chain
+    ds = rd.range(8).map_batches(lambda t: t,
+                                 batch_format="pyarrow").materialize()
+    stats = ds._plan._snapshot_stats
+    assert stats is not None and hasattr(stats, "parents")
+    assert graph._sever_stats(ds)._plan._snapshot_stats.parents == []
+
+
+def test_sever_stats_warns_once(caplog):
+    graph._warn_stats_moved.cache_clear()
+    with caplog.at_level(logging.WARNING, logger=graph.__name__):
+        graph._sever_stats(object())
+        graph._sever_stats(object())
+    assert len(caplog.records) == 1
 
 
 def test_deterministic(ray_session):

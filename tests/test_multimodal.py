@@ -6,8 +6,7 @@ import numpy as np
 import pyarrow as pa
 
 from ocr_table_extractor_to_csv_ray.stages.multimodal import (
-    FrameSampleStage, ImageDecodeStage, ImageFeatureStage, ImageResizeStage,
-    decode_pipeline)
+    ImageDecodeStage, ImageFeatureStage, decode_pipeline)
 
 
 def _media(n=6):
@@ -30,18 +29,6 @@ def test_decode_deterministic_shapes():
     assert px[0] != px[1]
 
 
-def test_resize_nearest():
-    st = ImageDecodeStage(height=32, width=32)
-    dec = st(_media(3))
-    out = ImageResizeStage(out_h=8, out_w=8)(dec)
-    assert out["pixels"].type.list_size == 8 * 8 * 3
-    assert set(out["height"].to_pylist()) == {8}
-    # nearest-neighbor: resized pixel (0,0) == source pixel (0,0)
-    src = np.asarray(dec["pixels"].to_pylist()[0], np.uint8).reshape(32, 32, 3)
-    dst = np.asarray(out["pixels"].to_pylist()[0], np.uint8).reshape(8, 8, 3)
-    assert (dst[0, 0] == src[0, 0]).all()
-
-
 def test_features_shape_and_range():
     dec = ImageDecodeStage(height=16, width=16)(_media(4))
     out = ImageFeatureStage()(dec)
@@ -50,22 +37,6 @@ def test_features_shape_and_range():
     assert (feats[:, :3] >= 0).all() and (feats[:, :3] <= 1).all()
     hist = feats[:, 6:]
     assert np.allclose(hist.sum(axis=1), 1.0, atol=1e-5)
-
-
-def test_frame_sample_explodes_rows():
-    st = FrameSampleStage(every_k=10, max_frames=5)
-    out = st(_media(3))
-    assert out.num_rows > 3
-    ids = out["media_id"].to_pylist()
-    frames = out["frame_no"].to_pylist()
-    # per media: frames are 0, 10, 20, ... capped at 5
-    for mid in set(ids):
-        fs = [f for m, f in zip(ids, frames) if m == mid]
-        assert fs == sorted(fs) and len(fs) <= 5
-        assert all(f % 10 == 0 for f in fs)
-    # frame payloads feed straight into the decoder
-    dec = ImageDecodeStage(height=8, width=8)(out)
-    assert dec.num_rows == out.num_rows
 
 
 def test_decode_pipeline_streaming(ray_session):
@@ -77,26 +48,3 @@ def test_decode_pipeline_streaming(ray_session):
     assert len(rows) == 40
     assert len(rows[0]["features"]) == 14
 
-
-def test_audio_decode_and_features(ray_session):
-    import ray.data as rd
-    from ocr_table_extractor_to_csv_ray.stages.multimodal import (
-        AudioDecodeStage, AudioFeatureStage)
-    st = AudioDecodeStage(n_samples=4000)
-    t = _media(5)
-    a = st(t)
-    assert a["waveform"].type.list_size == 4000
-    assert a["waveform"].to_pylist() == st(t)["waveform"].to_pylist()  # deterministic
-    f = AudioFeatureStage()(a)
-    feats = np.array(f["audio_features"].to_pylist())
-    assert feats.shape == (5, 10)
-    assert (feats[:, 0] > 0).all()           # RMS of a sine+noise
-    assert (feats[:, 1] > 0).all()           # zero crossings
-    # pipeline form: actor pool over a Dataset
-    out = (rd.from_arrow(_media(12))
-           .map_batches(AudioDecodeStage, batch_format="pyarrow",
-                        fn_constructor_kwargs={"n_samples": 2000},
-                        batch_size=4, concurrency=2)
-           .map_batches(AudioFeatureStage, batch_format="pyarrow",
-                        concurrency=2))
-    assert out.count() == 12

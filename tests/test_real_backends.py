@@ -1,6 +1,6 @@
 """Real-library branches of the stateful actors, exercised with
-monkeypatched stand-in modules (pytesseract/pypdfium2/transformers/
-torch/PIL/soundfile are not installed in this container).
+monkeypatched stand-in modules, so pytesseract/pypdfium2/transformers/
+torch/PIL need not be installed.
 
 Contract under test (VERDICT round 1, "what's wrong" #1): on a machine
 where the real library IS importable the stage must run it — same
@@ -335,58 +335,6 @@ def test_image_decode_real_pil_branch():
         out2 = st2(pa.table({"media_id": pa.array(["a"]),
                              "payload": pa.array([b"junk"], pa.binary())}))
     assert len(out2["pixels"].to_pylist()[0]) == 4 * 4 * 3
-
-
-def test_audio_decode_real_soundfile_branch():
-    from ocr_table_extractor_to_csv_ray.stages import multimodal as mm
-
-    mod = types.ModuleType("soundfile")
-    # stereo, longer than n_samples: mono mix + trim
-    mod.read = lambda fp, dtype=None: (np.ones((50, 2), np.float32), 8000)
-    with fake_modules(soundfile=mod):
-        st = mm.AudioDecodeStage(n_samples=20)
-        assert st._backend == "soundfile"
-        out = st(pa.table({"media_id": pa.array(["a"]),
-                           "payload": pa.array([b"RIFF"], pa.binary())}))
-    wav = np.asarray(out["waveform"].to_pylist()[0])
-    assert wav.shape == (20,) and np.allclose(wav, 1.0)
-
-    # short clip: padded to the fixed width
-    mod.read = lambda fp, dtype=None: (np.ones(5, np.float32), 8000)
-    with fake_modules(soundfile=mod):
-        st2 = mm.AudioDecodeStage(n_samples=20)
-        wav2 = np.asarray(st2(pa.table({
-            "media_id": pa.array(["a"]),
-            "payload": pa.array([b"RIFF"], pa.binary())}))["waveform"].to_pylist()[0])
-    assert wav2.shape == (20,) and wav2[:5].sum() == 5 and wav2[5:].sum() == 0
-
-
-def test_frame_sample_real_pyav_branch():
-    from ocr_table_extractor_to_csv_ray.stages import multimodal as mm
-
-    class Stream:
-        frames = 25
-        duration = None
-        average_rate = None
-        time_base = None
-
-    class Container:
-        streams = types.SimpleNamespace(video=[Stream()])
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *a):
-            return False
-
-    mod = types.ModuleType("av")
-    mod.open = lambda fp: Container()
-    with fake_modules(av=mod):
-        st = mm.FrameSampleStage(every_k=10, max_frames=8)
-        assert st._backend == "pyav"
-        out = st(pa.table({"media_id": pa.array(["v"]),
-                           "payload": pa.array([b"mp4"], pa.binary())}))
-    assert out["frame_no"].to_pylist() == [0, 10, 20]
 
 
 # ---------------------------------------------------------------------------
