@@ -11,8 +11,8 @@ from __future__ import annotations
 from typing import List, Sequence, Tuple
 
 from .doc import TokenSOA
-from .geometry import Line, merge_token_spans, nearest_interval
-from .numeric import is_num_span, is_numeric_token
+from .geometry import Line, adaptive_line_spans, line_spans, nearest_interval
+from .numeric import is_numeric_token
 from .records import Record
 
 
@@ -49,12 +49,13 @@ def assign_dynamic(
     spans_per_line=None,
 ) -> List[Record]:
     """Label = text spans left of the first numeric column; numeric spans
-    → nearest interval, first-wins per cell (``assign_dynamic.py:38-72``)."""
+    → nearest interval, first-wins per cell (``assign_dynamic.py:38-72``).
+    ``spans_per_line`` are the shared :func:`..geometry.adaptive_line_spans`."""
     records: List[Record] = []
     if not numeric_columns:
         for ln in lines:
             # ln.idx is already x-sorted
-            label = " ".join(toks.text[i] for i in ln.idx)
+            label = " ".join(toks.text[ln.idx])
             records.append(
                 Record(page=ln.page, y_top=ln.y1, y_bot=ln.y2, cells=[label], num_count=0)
             )
@@ -63,19 +64,15 @@ def assign_dynamic(
     cols = sorted(numeric_columns, key=lambda ab: ab[0])
     first_left = cols[0][0]
     if spans_per_line is None:
-        from .geometry import adaptive_line_spans
         spans_per_line = adaptive_line_spans(lines, toks)
 
     for ln, spans in zip(lines, spans_per_line):
-        num_spans, txt_spans = [], []
-        for s in spans:
-            (num_spans if is_num_span(s[2]) else txt_spans).append(s)
-
-        label = " ".join(txt for (x1, _, txt) in txt_spans if x1 < first_left).strip()
+        label = " ".join(txt for (x1, _, txt, num) in spans if not num and x1 < first_left).strip()
         values = [""] * len(cols)
-        for (x1, x2, txt) in num_spans:
-            j = nearest_interval((x1 + x2) / 2.0, cols)
-            values[j] = values[j] or txt.strip()
+        for (x1, x2, txt, num) in spans:
+            if num:
+                j = nearest_interval((x1 + x2) / 2.0, cols)
+                values[j] = values[j] or txt.strip()
 
         records.append(
             Record(
@@ -98,8 +95,7 @@ def assign_financial(
     """Two rightmost numeric spans become the value columns; everything
     textual joins into the label (``assign_financial.py:41-93``)."""
     records: List[Record] = []
-    for ln in lines:
-        spans = merge_token_spans(toks, ln.idx, span_gap_px, assume_sorted=True)
+    for ln, spans in zip(lines, line_spans(lines, toks, span_gap_px)):
         if not spans:
             records.append(
                 Record(page=ln.page, y_top=ln.y1, y_bot=ln.y2,

@@ -9,30 +9,32 @@ from the top 20 % y-band (``column_model.py:47-82``).
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .doc import TokenSOA
-from .geometry import Line, line_gap_quantile, merge_token_spans, nearest_interval
-from .numeric import YEAR_RE, is_num_span
+from .geometry import Line, adaptive_line_spans, fast_percentile, nearest_interval
+from .numeric import YEAR_RE
 
 
 def _percentile(vals: Sequence[float], q: float) -> float:
     if not len(vals):
         return 0.0
-    from .geometry import fast_percentile
     return fast_percentile(np.asarray(vals, dtype=float), q)
 
 
 def year_headers_from_top(
     lines: Sequence[Line],
-    toks: TokenSOA,
+    spans_per_line: Sequence[Sequence[Tuple[int, int, str, bool]]],
     intervals: Sequence[Tuple[int, int]],
 ) -> Optional[List[str]]:
     """Name columns by majority vote of year strings found in the top
     20 % band of line y1 values (``column_model.py:47-82``); unnamed
-    columns default to ``Valor_{i+1}``; all-empty → ``None``."""
+    columns default to ``Valor_{i+1}``; all-empty → ``None``. The spans
+    are the lines' adaptive-gap spans, the ones the reference re-merges
+    here."""
     if not intervals:
         return None
     ys = [ln.y1 for ln in lines]
@@ -40,10 +42,9 @@ def year_headers_from_top(
         return None
     y_thr = min(ys) + 0.20 * (max(ys) - min(ys))
     candidates: List[Tuple[int, str]] = []
-    for ln in lines:
+    for ln, spans in zip(lines, spans_per_line):
         if ln.y1 <= y_thr:
-            max_gap = line_gap_quantile(toks, ln.idx, assume_sorted=True)
-            for (x1, x2, txt) in merge_token_spans(toks, ln.idx, max_gap, assume_sorted=True):
+            for (x1, x2, txt, _num) in spans:
                 m = YEAR_RE.search(txt)
                 if m:
                     xc = (x1 + x2) // 2
@@ -68,7 +69,7 @@ def infer_numeric_columns(
     cut_quantile: float = 90.0,
     pad_px: int = 24,
     max_cols: int = 4,
-    spans_per_line: Optional[Sequence[Sequence[Tuple[int, int, str]]]] = None,
+    spans_per_line: Optional[Sequence[Sequence[Tuple[int, int, str, bool]]]] = None,
 ) -> Tuple[List[Tuple[int, int]], Optional[List[str]]]:
     """Return (numeric column intervals, optional year header names)
     — the full ``infer_numeric_columns_from_lines`` semantics.
@@ -77,7 +78,6 @@ def infer_numeric_columns(
     if not lines:
         return [], None
     if spans_per_line is None:
-        from .geometry import adaptive_line_spans
         spans_per_line = adaptive_line_spans(lines, toks)
 
     per_line_centers: List[List[int]] = []
@@ -87,23 +87,15 @@ def infer_numeric_columns(
     body_counts: List[int] = []
 
     for ln, spans in zip(lines, spans_per_line):
-        centers = [
-            (x1 + x2) // 2
-            for (x1, x2, txt) in spans
-            if is_num_span(txt)
-        ]
+        centers = [(x1 + x2) // 2 for (x1, x2, _txt, num) in spans if num]
         centers.sort()
         per_line_centers.append(centers)
         if ln.y1 >= y_body_thr:
             body_counts.append(len(centers))
 
-    ncols = 0
-    if body_counts:
-        vals, cnts = np.unique(np.array(body_counts), return_counts=True)
-        mask = vals > 0
-        if mask.any():
-            v2, c2 = vals[mask], cnts[mask]
-            ncols = int(v2[int(np.argmax(c2))])
+    # mode of the positive counts, ties to the smallest count
+    votes = Counter(c for c in body_counts if c > 0)
+    ncols = min(votes, key=lambda c: (-votes[c], c)) if votes else 0
     if ncols > max_cols:
         ncols = max_cols
 
@@ -144,5 +136,5 @@ def infer_numeric_columns(
                 merged[-1] = (merged[-1][0], max(merged[-1][1], iv[1]))
         intervals = [(int(L - pad_px), int(R + pad_px)) for (L, R) in merged][:max_cols]
 
-    names = year_headers_from_top(lines, toks, intervals) if intervals else None
+    names = year_headers_from_top(lines, spans_per_line, intervals) if intervals else None
     return intervals, names

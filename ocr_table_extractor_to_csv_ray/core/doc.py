@@ -21,6 +21,10 @@ class TokenSOA:
     ``text`` / ``line_id`` are object arrays (python strings; ``line_id``
     entries may be ``None``); coordinates are int64.  All arrays share
     length; slices of batch-level arrays are fine (kernels never mutate).
+
+    ``lines`` / ``line_spans`` optionally carry this doc's visual lines and
+    dynamic-layout spans, computed by a whole-batch pass
+    (``stages/extract.py``); ``None`` means the kernel computes them.
     """
 
     text: np.ndarray
@@ -30,6 +34,8 @@ class TokenSOA:
     x2: np.ndarray
     y2: np.ndarray
     line_id: Optional[np.ndarray] = None   # None => no token carries a line id
+    lines: Optional[list] = None
+    line_spans: Optional[list] = None
 
     def __len__(self) -> int:
         return len(self.text)
@@ -42,12 +48,15 @@ class TokenSOA:
     def yc(self) -> np.ndarray:
         return (self.y1 + self.y2) / 2.0
 
-    def crop(self, bbox: Tuple[int, int, int, int]) -> "TokenSOA":
-        """Keep tokens fully inside ``bbox`` (reference ``structures.py:22-24``,
-        applied at parse time, ``parser.py:47-48``)."""
+    def inside(self, bbox: Tuple[int, int, int, int]) -> np.ndarray:
+        """Mask of the tokens fully inside ``bbox`` (reference
+        ``structures.py:22-24``, applied at parse time, ``parser.py:47-48``)."""
         X1, Y1, X2, Y2 = bbox
-        m = (self.x1 >= X1) & (self.y1 >= Y1) & (self.x2 <= X2) & (self.y2 <= Y2)
-        return self.take(np.flatnonzero(m))
+        return (self.x1 >= X1) & (self.y1 >= Y1) & (self.x2 <= X2) & (self.y2 <= Y2)
+
+    def crop(self, bbox: Tuple[int, int, int, int]) -> "TokenSOA":
+        """Keep tokens fully inside ``bbox``."""
+        return self.take(np.flatnonzero(self.inside(bbox)))
 
     def take(self, idx: np.ndarray) -> "TokenSOA":
         return TokenSOA(

@@ -8,6 +8,13 @@ per-call thresholds reproduce each call site exactly.  Interval coverage
 is accumulated with a difference array + cumsum instead of the
 reference's O(tokens × width) slice-adds — identical profile, linear
 cost, which matters for very wide multi-page documents.
+
+Line building (:func:`build_lines_batch`) and span merging
+(:func:`merge_spans`) take a whole batch of documents at once: sorts,
+segment reductions and running maxima over the batch's flat token arrays,
+with one Python loop left, the running-band line sweep. The per-document
+entry points (:func:`build_lines`, :func:`adaptive_line_spans`,
+:func:`line_spans`) call the same code on a one-document batch.
 """
 
 from __future__ import annotations
@@ -17,6 +24,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .doc import TokenSOA
+from .numeric import num_span_flags
 
 
 class Line(NamedTuple):
@@ -30,105 +38,145 @@ class Line(NamedTuple):
     idx: np.ndarray          # token indices, sorted by token x1 (stable)
 
 
-def _close_line(toks: TokenSOA, page: int, members: List[int],
-                _x1=None, _y1=None, _x2=None, _y2=None) -> Line:
-    """Lines are tiny (a handful of tokens): python sort/min/max over
-    prefetched int lists beats numpy's per-call dispatch by ~3×. The
-    ``_x1.._y2`` lists are per-doc prefetches (``tolist()`` once)."""
-    if _x1 is None:
-        _x1 = toks.x1.tolist(); _y1 = toks.y1.tolist()
-        _x2 = toks.x2.tolist(); _y2 = toks.y2.tolist()
-    members = sorted(members, key=lambda i: _x1[i])   # stable, like argsort
-    return Line(
-        page=page,
-        x1=min(_x1[i] for i in members),
-        y1=min(_y1[i] for i in members),
-        x2=max(_x2[i] for i in members),
-        y2=max(_y2[i] for i in members),
-        idx=np.asarray(members, dtype=np.int64),
-    )
+class LineBatch(NamedTuple):
+    """The visual lines of a whole batch, doc-major and ``(page, y1, x1)``
+    ordered within each doc.
+
+    Doc ``d`` owns lines ``doc_lines[d]:doc_lines[d + 1]``; line ``k`` owns
+    the batch token indices ``members[starts[k]:starts[k + 1]]``, x1-sorted.
+    """
+
+    doc_lines: np.ndarray
+    page: np.ndarray
+    x1: np.ndarray
+    y1: np.ndarray
+    x2: np.ndarray
+    y2: np.ndarray
+    starts: np.ndarray
+    members: np.ndarray
+
+    def per_doc(self, word_offsets: np.ndarray) -> List[List[Line]]:
+        """Each doc's lines as :class:`Line` tuples with doc-local ``idx``."""
+        counts = np.diff(self.starts)
+        line_doc = np.repeat(np.arange(len(self.doc_lines) - 1), np.diff(self.doc_lines))
+        local = self.members - np.repeat(word_offsets[line_doc], counts)
+        starts = self.starts.tolist()
+        lines = list(map(Line, self.page.tolist(), self.x1.tolist(), self.y1.tolist(),
+                         self.x2.tolist(), self.y2.tolist(),
+                         [local[a:b] for a, b in zip(starts, starts[1:])]))
+        bounds = self.doc_lines.tolist()
+        return [lines[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 def overlap_ratio(a1: int, a2: int, b1: int, b2: int) -> float:
     """Vertical overlap of two bands over the SHORTER band's length
-    (reference ``structures.py:17-20`` — denominator is min length)."""
-    inter = min(a2, b2) - max(a1, b1)
-    if inter < 0:
-        inter = 0
-    denom = min(a2 - a1, b2 - b1)
-    if denom < 1:
-        denom = 1
-    return inter / denom
+    (reference ``structures.py:17-20`` — denominator is min length).
+    Conditional expressions, not ``min``/``max``: the line sweep calls
+    this once per token."""
+    inter = (a2 if a2 < b2 else b2) - (a1 if a1 > b1 else b1)
+    denom = a2 - a1 if a2 - a1 < b2 - b1 else b2 - b1
+    return (inter if inter > 0 else 0) / (denom if denom > 1 else 1)
+
+
+def _sweep_line_codes(doc: List[int], page: List[int], y1: List[int], y2: List[int]) -> List[int]:
+    """Line number of each token of the sweep order: a token joins the open
+    line iff it is on the same doc and page and overlaps the line's RUNNING
+    band by >= 0.5, the band expanding as tokens join (``lines.py:28-60``)."""
+    codes = [0] * len(doc)
+    code, cur_doc, cur_page, lo, hi = -1, None, None, 0, 0
+    for k, (d, p, t1, t2) in enumerate(zip(doc, page, y1, y2)):
+        if d == cur_doc and p == cur_page and overlap_ratio(lo, hi, t1, t2) >= 0.5:
+            if t1 < lo:
+                lo = t1
+            if t2 > hi:
+                hi = t2
+        else:
+            code, cur_doc, cur_page, lo, hi = code + 1, d, p, t1, t2
+        codes[k] = code
+    return codes
+
+
+def build_lines_batch(word_offsets: np.ndarray, toks: TokenSOA, has_lid: np.ndarray,
+                      include: Optional[np.ndarray] = None) -> LineBatch:
+    """Group every doc's tokens into visual lines in one pass over the batch
+    (reference ``lines.py:6-63``); doc ``d`` owns tokens
+    ``word_offsets[d]:word_offsets[d + 1]``, ``include`` (per doc) leaves
+    docs out of the pass (they get no lines).
+
+    Two regimes per doc, chosen exactly as the reference does:
+
+    * if ANY token of the doc carries a line id (``has_lid``): group by
+      ``(page, line_id or "inferred_<page>_<int(yc)>")`` (``lines.py:14-26``);
+    * else: sort by ``(page, y1 + y2, x1)`` and sweep
+      (:func:`_sweep_line_codes`); a page change always closes the line.
+
+    Each line's members are x1-sorted (stable); lines are sorted by
+    ``(page, y1, x1)``, ties in creation order (``lines.py:25,62``).
+    """
+    n_docs = len(word_offsets) - 1
+    doc = np.repeat(np.arange(n_docs), np.diff(word_offsets))
+    lid_doc = np.bincount(doc[has_lid], minlength=n_docs) > 0
+    keep = np.ones(len(toks), dtype=bool) if include is None else include[doc]
+    line_of = np.empty(len(toks), dtype=np.int64)
+    pos = np.empty(len(toks), dtype=np.int64)    # member order within a line, before x1
+
+    sweep = np.flatnonzero(keep & ~lid_doc[doc])
+    ysum = toks.y1[sweep] + toks.y2[sweep]
+    sweep = sweep[np.lexsort((toks.x1[sweep], ysum, toks.page[sweep], doc[sweep]))]
+    codes = _sweep_line_codes(doc[sweep].tolist(), toks.page[sweep].tolist(),
+                              toks.y1[sweep].tolist(), toks.y2[sweep].tolist())
+    line_of[sweep] = codes
+    pos[sweep] = np.arange(sweep.size)
+    n_lines = codes[-1] + 1 if codes else 0
+
+    grouped = np.flatnonzero(keep & lid_doc[doc])
+    keys: dict = {}
+    line_of[grouped] = [
+        keys.setdefault((d, p, lid or f"inferred_{p}_{(a + b) // 2}"), len(keys))
+        for d, p, lid, a, b in zip(doc[grouped].tolist(), toks.page[grouped].tolist(),
+                                   toks.line_id[grouped].tolist() if grouped.size else [],
+                                   toks.y1[grouped].tolist(), toks.y2[grouped].tolist())
+    ]
+    line_of[grouped] += n_lines
+    pos[grouped] = grouped
+    n_lines += len(keys)
+
+    tok = np.flatnonzero(keep)
+    tok_line = line_of[tok]
+    if n_lines == 0:
+        empty = np.zeros(0, dtype=np.int64)
+        return LineBatch(np.zeros(n_docs + 1, dtype=np.int64), empty, empty, empty, empty,
+                         empty, np.zeros(1, dtype=np.int64), empty)
+    counts = np.bincount(tok_line, minlength=n_lines)
+    by_line = tok[np.argsort(tok_line, kind="stable")]
+    first = np.concatenate(([0], np.cumsum(counts)[:-1]))
+    lx1 = np.minimum.reduceat(toks.x1[by_line], first)
+    ly1 = np.minimum.reduceat(toks.y1[by_line], first)
+    lx2 = np.maximum.reduceat(toks.x2[by_line], first)
+    ly2 = np.maximum.reduceat(toks.y2[by_line], first)
+    ldoc = doc[by_line[first]]
+    lpage = toks.page[by_line[first]]
+
+    order = np.lexsort((lx1, ly1, lpage, ldoc))   # stable: ties keep creation order
+    rank = np.empty(n_lines, dtype=np.int64)
+    rank[order] = np.arange(n_lines)
+    members = tok[np.lexsort((pos[tok], toks.x1[tok], rank[tok_line]))]
+    return LineBatch(
+        doc_lines=np.concatenate(([0], np.cumsum(np.bincount(ldoc, minlength=n_docs)))),
+        page=lpage[order], x1=lx1[order], y1=ly1[order], x2=lx2[order], y2=ly2[order],
+        starts=np.concatenate(([0], np.cumsum(counts[order]))),
+        members=members,
+    )
 
 
 def build_lines(toks: TokenSOA) -> List[Line]:
-    """Group a document's tokens into visual lines (reference ``lines.py:6-63``).
-
-    Two regimes, chosen exactly as the reference does:
-
-    * if ANY token carries a truthy ``line_id``: group by
-      ``(page, line_id or "inferred_<page>_<int(yc)>")`` (``lines.py:14-26``);
-    * else: sort by ``(page, yc, x1)`` and sweep, merging a token into the
-      open line iff its vertical overlap with the RUNNING band is >= 0.5,
-      the band expanding as tokens join (``lines.py:28-60``); a page change
-      always closes the line.
-
-    Output sorted by ``(page, y1, x1)`` (``lines.py:25,62``).
-    """
+    """One document's visual lines: :func:`build_lines_batch` over a
+    one-doc batch."""
     n = len(toks)
-    if n == 0:
-        return []
-
-    # per-doc prefetch: python-int lists once, loops never touch numpy
-    x1_l = toks.x1.tolist(); y1_l = toks.y1.tolist()
-    x2_l = toks.x2.tolist(); y2_l = toks.y2.tolist()
-    page_l = toks.page.tolist()
-
-    has_ids = toks.line_id is not None and any(bool(v) for v in toks.line_id)
-    if has_ids:
-        groups: dict = {}
-        for i in range(n):
-            lid = toks.line_id[i] or f"inferred_{page_l[i]}_{(y1_l[i] + y2_l[i]) // 2}"
-            groups.setdefault((page_l[i], lid), []).append(i)
-        lines = [_close_line(toks, page, members, x1_l, y1_l, x2_l, y2_l)
-                 for (page, _), members in groups.items()]
-        lines.sort(key=lambda L: (L.page, L.y1, L.x1))
-        return lines
-
-    order = sorted(range(n), key=lambda i: (page_l[i], y1_l[i] + y2_l[i], x1_l[i]))
-    lines: List[Line] = []
-    current: List[int] = []
-    cur_page = page_l[order[0]]
-    band_lo = y1_l[order[0]]
-    band_hi = y2_l[order[0]]
-
-    for i in order:
-        pg = page_l[i]
-        ty1, ty2 = y1_l[i], y2_l[i]
-        if pg != cur_page:
-            if current:
-                lines.append(_close_line(toks, cur_page, current, x1_l, y1_l, x2_l, y2_l))
-            current = [i]
-            cur_page = pg
-            band_lo, band_hi = ty1, ty2
-            continue
-        if overlap_ratio(band_lo, band_hi, ty1, ty2) >= 0.5:
-            current.append(i)
-            if ty1 < band_lo:
-                band_lo = ty1
-            if ty2 > band_hi:
-                band_hi = ty2
-        else:
-            if current:
-                lines.append(_close_line(toks, cur_page, current, x1_l, y1_l, x2_l, y2_l))
-            current = [i]
-            band_lo, band_hi = ty1, ty2
-
-    if current:
-        lines.append(_close_line(toks, cur_page, current, x1_l, y1_l, x2_l, y2_l))
-
-    lines.sort(key=lambda L: (L.page, L.y1, L.x1))
-    return lines
+    has_lid = (np.array([bool(v) for v in toks.line_id], dtype=bool)
+               if toks.line_id is not None else np.zeros(n, dtype=bool))
+    offsets = np.array([0, n], dtype=np.int64)
+    return build_lines_batch(offsets, toks, has_lid).per_doc(offsets)[0]
 
 
 def valley_cuts(
@@ -215,44 +263,10 @@ def estimate_columns(
     return intervals
 
 
-def merge_token_spans(
-    toks: TokenSOA, idx: np.ndarray, max_gap_px: int,
-    assume_sorted: bool = False,
-) -> List[Tuple[int, int, str]]:
-    """Merge x-adjacent tokens of one line into spans ``(x1, x2, text)``
-    while the inter-token gap is <= ``max_gap_px`` (the reference's
-    thrice-duplicated ``_merge_adjacent`` — ``column_model.py:29-45``,
-    ``assign_dynamic.py:21-36``, ``assign_financial.py:20-39`` — fused).
-
-    ``assume_sorted=True`` skips the x-sort — valid for ``Line.idx``
-    (``_close_line`` sorts members by x1)."""
-    if idx.size == 0:
-        return []
-    if not assume_sorted:
-        order = np.argsort(toks.x1[idx], kind="stable")
-        idx = idx[order]
-    spans: List[Tuple[int, int, str]] = []
-    sx1 = int(toks.x1[idx[0]])
-    sx2 = int(toks.x2[idx[0]])
-    buf = [toks.text[idx[0]]]
-    for i in idx[1:]:
-        tx1, tx2 = int(toks.x1[i]), int(toks.x2[i])
-        if tx1 - sx2 <= max_gap_px:
-            buf.append(toks.text[i])
-            if tx2 > sx2:
-                sx2 = tx2
-        else:
-            spans.append((sx1, sx2, " ".join(buf).strip()))
-            sx1, sx2, buf = tx1, tx2, [toks.text[i]]
-    spans.append((sx1, sx2, " ".join(buf).strip()))
-    return spans
-
-
 def fast_percentile(a: np.ndarray, q: float) -> float:
     """Bit-exact ``np.percentile(a, q)`` (default 'linear' method) for
-    small 1-D float arrays, without numpy's dispatch overhead — the
-    kernel calls this once per LINE, and ``np.percentile``'s ~100 µs of
-    Python machinery dominated the whole dynamic layout (profiled 68 %).
+    small 1-D float arrays, without numpy's ~100 µs of dispatch machinery
+    (the dynamic column model's global-gap fallback calls it once per doc).
 
     Replicates numpy's lerp exactly, including the ``t >= 0.5`` branch
     that computes from the right endpoint (numpy ``_lerp``), so callers'
@@ -271,81 +285,113 @@ def fast_percentile(a: np.ndarray, q: float) -> float:
     return float(x + d * t) if t < 0.5 else float(y - d * (1.0 - t))
 
 
-def line_gap_quantile(toks: TokenSOA, idx: np.ndarray, q: float = 95.0,
-                      assume_sorted: bool = False) -> int:
-    """Per-line adaptive span gap: the q-th percentile of positive
-    inter-token gaps, floored at 12, default 18 when there is no gap
-    (reference ``column_model.py:18-27`` ≡ ``assign_dynamic.py:12-19``)."""
-    if idx.size < 2:
-        return 18
-    if not assume_sorted:
-        order = np.argsort(toks.x1[idx], kind="stable")
-        idx = idx[order]
-    gaps = toks.x1[idx][1:] - toks.x2[idx][:-1]
-    gaps = gaps[gaps > 0]
-    if gaps.size == 0:
-        return 18
-    return max(12, int(fast_percentile(gaps.astype(float), q)))
+def adaptive_gaps(x1: np.ndarray, x2: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Per-line adaptive span gap for x1-sorted lines (line ``k`` owns
+    positions ``starts[k]:starts[k + 1]``): the 95th percentile of the
+    line's positive inter-token gaps, floored at 12, default 18 when it
+    has none (reference ``column_model.py:18-27`` ≡ ``assign_dynamic.py:12-19``).
+    One vectorized pass: positive gaps sorted within their line, then the
+    lerp of :func:`fast_percentile` for every line at once, in float64.
+    """
+    n_lines = len(starts) - 1
+    line = np.repeat(np.arange(n_lines), np.diff(starts))
+    gaps = x1[1:] - x2[:-1]
+    ok = (line[1:] == line[:-1]) & (gaps > 0)
+    gaps, gap_line = gaps[ok].astype(float), line[1:][ok]
+    gaps = gaps[np.lexsort((gaps, gap_line))]
+    n_g = np.bincount(gap_line, minlength=n_lines)
+    first = np.concatenate(([0], np.cumsum(n_g)[:-1]))
+    out = np.full(n_lines, 18, dtype=np.int64)
+    has = n_g > 0
+    n_g, first = n_g[has], first[has]
+    vi = 0.95 * (n_g - 1)
+    lo = vi.astype(np.int64)
+    t = vi - lo
+    x = gaps[first + lo]
+    y = gaps[first + np.minimum(lo + 1, n_g - 1)]
+    d = y - x
+    pctl = np.where(t == 0.0, x, np.where(t < 0.5, x + d * t, y - d * (1.0 - t)))
+    out[has] = np.maximum(12, pctl.astype(np.int64))
+    return out
+
+
+def merge_spans(x1: np.ndarray, x2: np.ndarray, text: np.ndarray, starts: np.ndarray,
+                max_gap: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray, List[str]]:
+    """Merge the x-adjacent tokens of every x1-sorted line into spans while
+    the gap to the span's running right edge is <= the line's ``max_gap``
+    (the reference's thrice-duplicated ``_merge_adjacent`` —
+    ``column_model.py:29-45``, ``assign_dynamic.py:21-36``,
+    ``assign_financial.py:20-39`` — fused).
+
+    Returns ``(span_starts, x1, x2, text)``: line ``k`` owns spans
+    ``span_starts[k]:span_starts[k + 1]``; a span's text is its tokens
+    joined with a space, stripped.
+
+    Vectorized over the whole batch: since x1 is sorted within a line, the
+    span's running right edge can be replaced by the line's running max of
+    x2 in the break test. At a break, x1 exceeds that max by more than the
+    gap, and so does every later x1 of the line; so a later token breaks
+    against the line's max iff it breaks against its own span's, even when
+    a token has ``x2 < x1``.
+    """
+    n, n_lines = len(x1), len(starts) - 1
+    line = np.repeat(np.arange(n_lines), np.diff(starts))
+    vals, rank = np.unique(x2, return_inverse=True)
+    base = line * len(vals)
+    run = vals[np.maximum.accumulate(base + rank) - base]      # running max of x2 per line
+    brk = np.ones(n, dtype=bool)
+    brk[1:] = (line[1:] != line[:-1]) | (x1[1:] - run[:-1] > np.asarray(max_gap)[line[1:]])
+    first = np.flatnonzero(brk)
+    span_x2 = np.maximum.reduceat(x2, first) if n else x2
+    words = text.tolist()
+    bounds = first.tolist() + [n]
+    joined = [" ".join(words[a:b]).strip() for a, b in zip(bounds, bounds[1:])]
+    span_starts = np.concatenate(([0], np.cumsum(np.bincount(line[first], minlength=n_lines))))
+    return span_starts, x1[first], span_x2, joined
+
+
+def gather_lines(lines: Sequence[Line], toks: TokenSOA
+                 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(x1, x2, text, starts)`` of one doc's lines, line-major."""
+    idx = np.concatenate([ln.idx for ln in lines]) if lines else np.zeros(0, dtype=np.int64)
+    starts = np.concatenate(([0], np.cumsum([ln.idx.size for ln in lines], dtype=np.int64)))
+    return toks.x1[idx], toks.x2[idx], toks.text[idx], starts
+
+
+def group_by_line(span_starts: np.ndarray, *cols) -> List[List[tuple]]:
+    """Per line, the list of its span tuples ``zip(*cols)``."""
+    rows = list(zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in cols)))
+    bounds = span_starts.tolist()
+    return [rows[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def line_spans(lines: Sequence[Line], toks: TokenSOA, max_gap_px: int
+               ) -> List[List[Tuple[int, int, str]]]:
+    """Per-line spans ``(x1, x2, text)`` of one doc with a fixed gap."""
+    x1, x2, text, starts = gather_lines(lines, toks)
+    span_starts, sx1, sx2, stext = merge_spans(
+        x1, x2, text, starts, np.full(len(lines), max_gap_px, dtype=np.int64))
+    return group_by_line(span_starts, sx1, sx2, stext)
+
+
+def dynamic_spans(x1: np.ndarray, x2: np.ndarray, text: np.ndarray, starts: np.ndarray
+                  ) -> List[List[Tuple[int, int, str, bool]]]:
+    """Per-line spans ``(x1, x2, text, is_num)`` of the dynamic layout for
+    x1-sorted lines of any number of docs: the per-line adaptive gap
+    (:func:`adaptive_gaps`), one :func:`merge_spans` and one test of the
+    numeric span grammar F1 over every span text. The column model and
+    the assigner share them (the reference recomputes the identical spans
+    in both, ``column_model.py:110-117`` and ``assign_dynamic.py:50-55``).
+    """
+    span_starts, sx1, sx2, stext = merge_spans(x1, x2, text, starts,
+                                               adaptive_gaps(x1, x2, starts))
+    return group_by_line(span_starts, sx1, sx2, stext, num_span_flags(stext))
 
 
 def adaptive_line_spans(lines: Sequence[Line], toks: TokenSOA
-                        ) -> List[List[Tuple[int, int, str]]]:
-    """Per-line spans with the per-line adaptive gap — computed ONCE and
-    shared between the dynamic column model and the dynamic assigner
-    (the reference recomputes the identical spans in both,
-    ``column_model.py:110-117`` and ``assign_dynamic.py:50-55``).
-
-    Fused pure-python path over doc-level prefetched lists (tiny-array
-    numpy dispatch dominated otherwise); arithmetic is bit-identical to
-    :func:`line_gap_quantile` + :func:`merge_token_spans`.
-    """
-    x1_l = toks.x1.tolist()
-    x2_l = toks.x2.tolist()
-    text_l = toks.text.tolist()
-    out: List[List[Tuple[int, int, str]]] = []
-    for ln in lines:
-        ids = ln.idx.tolist()                     # already x-sorted
-        # --- gap quantile (line_gap_quantile semantics) ---
-        if len(ids) < 2:
-            max_gap = 18
-        else:
-            gaps = [float(x1_l[b] - x2_l[a]) for a, b in zip(ids, ids[1:])
-                    if x1_l[b] - x2_l[a] > 0]
-            if not gaps:
-                max_gap = 18
-            else:
-                gaps.sort()
-                n_g = len(gaps)
-                vi = 0.95 * (n_g - 1)
-                lo = int(vi)
-                t = vi - lo
-                if t == 0.0:
-                    pctl = gaps[lo]
-                else:
-                    x, y = gaps[lo], gaps[lo + 1 if lo + 1 < n_g else n_g - 1]
-                    d = y - x
-                    pctl = x + d * t if t < 0.5 else y - d * (1.0 - t)
-                max_gap = max(12, int(pctl))
-        # --- span merge (merge_token_spans semantics) ---
-        if not ids:
-            out.append([])
-            continue
-        spans: List[Tuple[int, int, str]] = []
-        sx1 = x1_l[ids[0]]
-        sx2 = x2_l[ids[0]]
-        buf = [text_l[ids[0]]]
-        for i in ids[1:]:
-            tx1, tx2 = x1_l[i], x2_l[i]
-            if tx1 - sx2 <= max_gap:
-                buf.append(text_l[i])
-                if tx2 > sx2:
-                    sx2 = tx2
-            else:
-                spans.append((sx1, sx2, " ".join(buf).strip()))
-                sx1, sx2, buf = tx1, tx2, [text_l[i]]
-        spans.append((sx1, sx2, " ".join(buf).strip()))
-        out.append(spans)
-    return out
+                        ) -> List[List[Tuple[int, int, str, bool]]]:
+    """One doc's :func:`dynamic_spans`."""
+    return dynamic_spans(*gather_lines(lines, toks))
 
 
 def nearest_interval(xc: float, intervals: Sequence[Tuple[int, int]]) -> int:

@@ -15,7 +15,7 @@ from ..config import LayoutConfig
 from .assigners import assign_dynamic, assign_financial, assign_words_to_columns
 from .colmodel import infer_numeric_columns
 from .doc import TokenSOA
-from .geometry import build_lines, estimate_columns
+from .geometry import adaptive_line_spans, build_lines, estimate_columns
 from .gridpro import professional_grid
 from .numeric import to_number
 from .postprocess import fill_missing_labels_and_clean
@@ -65,19 +65,22 @@ def _numeric_rows(rows: List[List[str]]) -> List[List[str]]:
 def extract_document(toks: TokenSOA, cfg: LayoutConfig) -> DocResult:
     """Reconstruct one document's table under ``cfg.layout``.
 
-    Empty-input guards mirror ``main.py:100-109``: no tokens / no lines
-    → an empty result (the document still appears in the output — the
-    reference writes an empty CSV, never drops the file).
+    Empty-input guard mirrors ``main.py:100-109``: no tokens → an empty
+    result (the document still appears in the output — the reference
+    writes an empty CSV, never drops the file). Lines and dynamic spans
+    come from ``toks`` when a batch pass precomputed them.
     """
     if cfg.table_bbox is not None:
         toks = toks.crop(cfg.table_bbox)
     if len(toks) == 0:
         return DocResult()
-    lines = build_lines(toks)
-    if not lines:
-        return DocResult()
 
     layout = (cfg.layout or "dynamic").lower()
+    if layout == "professional":
+        header, body = professional_grid(toks)
+        return DocResult(header=header, rows=body)
+
+    lines = toks.lines if toks.lines is not None else build_lines(toks)
 
     if layout == "financial":
         records = assign_financial(lines, toks, span_gap_px=cfg.span_gap_default)
@@ -86,8 +89,8 @@ def extract_document(toks: TokenSOA, cfg: LayoutConfig) -> DocResult:
         return DocResult(header=["Cuenta", "Valor_1", "Valor_2"], rows=rows)
 
     if layout == "dynamic":
-        from .geometry import adaptive_line_spans
-        spans_per_line = adaptive_line_spans(lines, toks)   # shared, computed once
+        spans_per_line = (toks.line_spans if toks.line_spans is not None
+                          else adaptive_line_spans(lines, toks))   # shared, computed once
         intervals, names = infer_numeric_columns(
             lines, toks,
             min_sep_px=cfg.min_sep_px,
@@ -122,9 +125,5 @@ def extract_document(toks: TokenSOA, cfg: LayoutConfig) -> DocResult:
             header_regexes=list(cfg.header_regexes) if cfg.header_regexes else None,
         )
         return DocResult(header=header_row or [], rows=body)
-
-    if layout == "professional":
-        header, body = professional_grid(toks)
-        return DocResult(header=header, rows=body)
 
     raise ValueError(f"unknown layout: {cfg.layout!r}")

@@ -17,6 +17,11 @@ negatives keep their closing ``)`` after stripping and therefore fail
 from __future__ import annotations
 
 import re
+from typing import Sequence
+
+import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
 
 # F1 — permissive span grammar (matches empty string!)
 NUM_SPAN_RE = re.compile(
@@ -40,6 +45,13 @@ NUM_TOKEN_RE = re.compile(
 # F3 — post-processing test
 _NUMBER_LIKE_RE = re.compile(r"^\$?\(?-?\d{1,3}(?:[,\s]\d{3})*(?:\.\d+)?\)?$")
 
+# F1 over ASCII text in RE2 syntax (pyarrow): on ASCII, Python's \s is
+# this class and \d is [0-9], and Python's $ also matches before one
+# trailing newline
+_WS = r"\t\n\x0b\x0c\r\x1c-\x1f "
+_NUM_SPAN_RE2 = (rf"^[$(]?[{_WS}]*-?(?:[0-9]{{1,3}}(?:[,{_WS}][0-9]{{3}})+|[0-9]+)?"
+                 rf"(?:\.[0-9]+)?[{_WS}]*\)?\n?$")
+
 YEAR_RE = re.compile(r"\b(19|20)\d{2}\b")
 
 # keeps digits, '-', '.', AND ')' — the ')' survival is the quirk above
@@ -50,6 +62,17 @@ def is_num_span(text: str) -> bool:
     """F1 applied the way call sites apply it: spaces removed first
     (``assign_dynamic.py:56``, ``column_model.py:115``)."""
     return bool(NUM_SPAN_RE.match(text.replace(" ", "")))
+
+
+def num_span_flags(texts: Sequence[str]) -> np.ndarray:
+    """:func:`is_num_span` of every text in one vectorized pass: RE2 over
+    the ASCII texts, Python ``re`` for the rest (RE2's ``\\d`` and ``\\s``
+    are ASCII-only where Python's are Unicode)."""
+    squeezed = pc.replace_substring(pa.array(texts, pa.string()), " ", "")
+    flags = np.array(pc.match_substring_regex(squeezed, _NUM_SPAN_RE2), dtype=bool)
+    for i in np.flatnonzero(~np.array(pc.string_is_ascii(squeezed), dtype=bool)):
+        flags[i] = is_num_span(texts[i])
+    return flags
 
 
 def is_numeric_token(text: str) -> bool:

@@ -2,9 +2,10 @@
 
 One batch holds many documents (one row each, ``spans`` list column).
 The whole batch is decoded ONCE into flat numpy arrays (vectorized
-``pyarrow.compute`` kernels — no per-row ``to_pylist``), then the pure
-per-document kernel (:func:`core.layouts.extract_document`) runs over
-offset slices.  Stateless → plain function → Ray task stage.
+``pyarrow.compute`` kernels — no per-row ``to_pylist``); the crop, line
+building and the dynamic layout's spans run once over those arrays; then
+the pure per-document kernel (:func:`core.layouts.extract_document`) runs
+over offset slices.  Stateless → plain function → Ray task stage.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import pyarrow.compute as pc
 
 from ..config import LayoutConfig
 from ..core.doc import TokenSOA
+from ..core.geometry import build_lines_batch, dynamic_spans
 from ..core.layouts import DocResult, extract_document
 from ..core.spans import BBOX_PATTERN, KIND_WORD, grid_to_spans
 
@@ -105,6 +107,34 @@ def make_span_column(per_doc: Sequence[List[Tuple[str, str, str, int]]]) -> pa.L
     return pa.ListArray.from_arrays(offsets, struct)
 
 
+def crop_token_batch(word_offsets: np.ndarray, toks: TokenSOA, has_lid: np.ndarray,
+                     bbox: Tuple[int, int, int, int]
+                     ) -> Tuple[np.ndarray, TokenSOA, np.ndarray]:
+    """:meth:`TokenSOA.crop` for every doc of a decoded batch at once."""
+    keep = toks.inside(bbox)
+    cum = np.concatenate(([0], np.cumsum(keep, dtype=np.int64)))
+    idx = np.flatnonzero(keep)
+    return cum[word_offsets], toks.take(idx), has_lid[idx]
+
+
+def batch_line_inputs(word_offsets: np.ndarray, toks: TokenSOA, has_lid: np.ndarray,
+                      layouts: Sequence[str]) -> Tuple[List[list], List[Optional[list]]]:
+    """Per doc, its visual lines (every layout but ``professional``, whose
+    grid ignores them) and, for ``dynamic`` docs, its per-line spans —
+    each computed in one pass over the whole batch."""
+    lb = build_lines_batch(word_offsets, toks, has_lid,
+                           include=np.array([lay != "professional" for lay in layouts], dtype=bool))
+    dyn = np.array([lay == "dynamic" for lay in layouts], dtype=bool)
+    dyn_lines = np.repeat(dyn, np.diff(lb.doc_lines))
+    sizes = np.diff(lb.starts)
+    m = lb.members[np.repeat(dyn_lines, sizes)]
+    spans = dynamic_spans(toks.x1[m], toks.x2[m], toks.text[m],
+                          np.concatenate(([0], np.cumsum(sizes[dyn_lines]))))
+    bounds = np.concatenate(([0], np.cumsum(np.diff(lb.doc_lines) * dyn))).tolist()
+    spans_per_doc = [spans[a:b] if d else None for a, b, d in zip(bounds, bounds[1:], dyn)]
+    return lb.per_doc(word_offsets), spans_per_doc
+
+
 def extract_batch(tbl: pa.Table, cfg: LayoutConfig) -> pa.Table:
     """Run the layout kernel over every document row of the batch.
 
@@ -112,23 +142,41 @@ def extract_batch(tbl: pa.Table, cfg: LayoutConfig) -> pa.Table:
     the input overrides ``cfg.layout`` row-by-row — one corpus can mix
     strategies without splitting the pipeline. Rows with an empty /
     null layout value fall back to ``cfg.layout``.
+
+    The ``table_bbox`` crop, line building and the dynamic layout's spans
+    run once over the whole batch; the per-document kernel gets them with
+    its tokens.
     """
     import dataclasses
 
     n = tbl.num_rows
     word_offsets, toks, has_lid = decode_token_batch(tbl["spans"])
+    if cfg.table_bbox is not None:
+        word_offsets, toks, has_lid = crop_token_batch(word_offsets, toks, has_lid,
+                                                       cfg.table_bbox)
+        cfg = dataclasses.replace(cfg, table_bbox=None)
 
     row_layouts: Optional[List] = None
     cfg_cache = {cfg.layout: cfg}
     if "layout" in tbl.column_names:
         row_layouts = tbl["layout"].to_pylist()
+    out_layout: List[str] = [cfg.layout] * n
+    row_cfgs: List[LayoutConfig] = [cfg] * n
+    if row_layouts is not None:
+        for i, lay in enumerate(row_layouts):
+            if lay:
+                if lay not in cfg_cache:
+                    cfg_cache[lay] = dataclasses.replace(cfg, layout=lay)
+                row_cfgs[i] = cfg_cache[lay]
+                out_layout[i] = lay
+    lines, spans = batch_line_inputs(word_offsets, toks, has_lid,
+                                     [(c.layout or "dynamic").lower() for c in row_cfgs])
 
     span_out: List[List[Tuple[str, str, str, int]]] = []
     numeric_out: List[List[Tuple[str, str, str, int]]] = []
     n_rows = np.zeros(n, dtype=np.int32)
     n_cols = np.zeros(n, dtype=np.int32)
     errors: List[str] = [""] * n
-    out_layout: List[str] = [cfg.layout] * n
     # Schema must be BATCH-INVARIANT: decide from config / input schema
     # only, never from this batch's row values — otherwise blocks of one
     # dataset disagree on whether ``spans_numeric`` exists and parquet /
@@ -148,17 +196,11 @@ def extract_batch(tbl: pa.Table, cfg: LayoutConfig) -> pa.Table:
             x2=toks.x2[sl],
             y2=toks.y2[sl],
             line_id=toks.line_id[sl] if has_lid[sl].any() else None,
+            lines=lines[i],
+            line_spans=spans[i],
         )
-        row_cfg = cfg
-        if row_layouts is not None and row_layouts[i]:
-            lay = row_layouts[i]
-            row_cfg = cfg_cache.get(lay)
-            if row_cfg is None:
-                row_cfg = dataclasses.replace(cfg, layout=lay)
-                cfg_cache[lay] = row_cfg
-            out_layout[i] = lay
         try:
-            res: DocResult = extract_document(doc, row_cfg)
+            res: DocResult = extract_document(doc, row_cfgs[i])
         except Exception as exc:  # noqa: BLE001
             # a malformed document must not poison its whole block
             # (SURVEY.md §4.2 retries row): emit an empty result + error
