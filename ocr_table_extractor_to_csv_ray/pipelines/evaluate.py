@@ -26,8 +26,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
-from ..core.spans import spans_to_grid
+from ..core.spans import span_column_grids
 
 
 def _pad_pair(ga: List[List[str]], gb: List[List[str]]) -> Tuple[np.ndarray, np.ndarray]:
@@ -99,21 +100,19 @@ def eval_pairs_batch(batch: pa.Table,
     (one row per (doc, col) plus one col=-1 row carrying cell counts)."""
     out = {"doc_id": [], "col": [], "n": [], "sse": [], "sum_t": [],
            "sumsq_t": [], "matched": [], "total": []}
-    ref_col = batch["spans_ref"].to_pylist()
-    pred_col = batch["spans_pred"].to_pylist()
     ids = batch["doc_id"].to_pylist()
-    for doc_id, sr, sp in zip(ids, ref_col, pred_col):
-        tup = lambda ss: [(s["kind"], s["text"], s["media_ref"], s["offset"]) for s in (ss or [])]
-        part = grid_pair_partials(spans_to_grid(tup(sr)), spans_to_grid(tup(sp)),
+    for doc_id, gr, gp in zip(ids, span_column_grids(batch["spans_ref"]),
+                              span_column_grids(batch["spans_pred"])):
+        part = grid_pair_partials(gr or ([], []), gp or ([], []),
                                   numeric_columns=numeric_columns)
         out["doc_id"].append(doc_id); out["col"].append(-1)
         out["n"].append(0); out["sse"].append(0.0)
         out["sum_t"].append(0.0); out["sumsq_t"].append(0.0)
         out["matched"].append(part["matched"]); out["total"].append(part["total"])
-        for pc in part["per_col"]:
-            out["doc_id"].append(doc_id); out["col"].append(pc["col"])
-            out["n"].append(pc["n"]); out["sse"].append(pc["sse"])
-            out["sum_t"].append(pc["sum_t"]); out["sumsq_t"].append(pc["sumsq_t"])
+        for c in part["per_col"]:
+            out["doc_id"].append(doc_id); out["col"].append(c["col"])
+            out["n"].append(c["n"]); out["sse"].append(c["sse"])
+            out["sum_t"].append(c["sum_t"]); out["sumsq_t"].append(c["sumsq_t"])
             out["matched"].append(0); out["total"].append(0)
     return pa.table({k: pa.array(v) for k, v in out.items()})
 
@@ -131,15 +130,16 @@ def pair_by_doc(ref_ds, pred_ds):
 
     def zip_group(g: pa.Table) -> pa.Table:
         # stay in Arrow: list<struct> columns don't survive pandas round-trips
-        side = g["side"].to_pylist()
-        spans = g["spans"].to_pylist()
-        r = next((s for s, sd in zip(spans, side) if sd == "ref"), [])
-        p = next((s for s, sd in zip(spans, side) if sd == "pred"), [])
         span_t = g.schema.field("spans").type
+
+        def first(side: str):
+            i = pc.index(g["side"], side).as_py()
+            return g["spans"].take([i]) if i >= 0 else pa.array([[]], type=span_t)
+
         return pa.table({
             "doc_id": g["doc_id"].slice(0, 1),
-            "spans_ref": pa.array([r], type=span_t),
-            "spans_pred": pa.array([p], type=span_t),
+            "spans_ref": first("ref"),
+            "spans_pred": first("pred"),
         })
 
     return both.groupby("doc_id").map_groups(zip_group, batch_format="pyarrow")

@@ -78,28 +78,16 @@ def write_corpus_stats(input_dir: str) -> Dict:
     sidecar for free."""
     import json
     import ray.data as rd
-    from ..core.spans import KIND_MEDIA
+    from ..stages.skew import media_counts
 
     def _maxes(t: pa.Table) -> pa.Table:
-        spans_col = t["spans"]
-        m_all = pc.max(pc.list_value_length(spans_col)).as_py() if t.num_rows else 0
-        la = spans_col.combine_chunks() if isinstance(spans_col, pa.ChunkedArray) else spans_col
-        flat = la.flatten()
-        flags = pc.equal(flat.field("kind"), KIND_MEDIA)
-        f = flags.to_numpy(zero_copy_only=False).astype(np.int64)
-        lens = pc.fill_null(la.value_lengths(), 0).to_numpy(zero_copy_only=False)
-        offsets = np.concatenate(([0], np.cumsum(lens)))
-        cum = np.concatenate(([0], np.cumsum(f)))
-        per_row = cum[offsets[1:]] - cum[offsets[:-1]]
-        m_media = int(per_row.max()) if len(per_row) else 0
+        m_all = pc.max(pc.list_value_length(t["spans"])).as_py() if t.num_rows else 0
         # pdf media fan out to an unbounded page count at rasterize time,
         # so a raw media count is not a sound post-rasterize bound
-        n_pdf = pc.sum(pc.cast(pc.and_(
-            flags, pc.starts_with(flat.field("media_ref"), "pdf://")),
-            pa.int64())).as_py() or 0
+        m_media, n_pdf = media_counts(t["spans"])
         return pa.table({"m_all": pa.array([int(m_all or 0)], pa.int64()),
                          "m_media": pa.array([m_media], pa.int64()),
-                         "n_pdf": pa.array([int(n_pdf)], pa.int64())})
+                         "n_pdf": pa.array([n_pdf], pa.int64())})
 
     ds = rd.read_parquet(corpus_files(input_dir), columns=["spans"])
     # one partial row per input block → a tiny frame on the driver

@@ -20,7 +20,7 @@ from ..config import LayoutConfig
 from ..core.doc import TokenSOA
 from ..core.geometry import build_lines_batch, dynamic_spans
 from ..core.layouts import DocResult, extract_document
-from ..core.spans import BBOX_PATTERN, KIND_WORD, grid_to_spans
+from ..core.spans import BBOX_PATTERN, KIND_WORD, flat_spans, grid_to_spans
 
 SPAN_TYPE = pa.struct([
     ("kind", pa.string()),
@@ -42,10 +42,7 @@ def decode_token_batch(spans_col) -> Tuple[np.ndarray, TokenSOA, np.ndarray]:
     Non-word spans (media, markers) are dropped here; media routing is a
     separate stage (``stages/ocr.py``).
     """
-    la = _combine(spans_col)
-    counts = pc.fill_null(la.value_lengths(), 0).to_numpy(zero_copy_only=False)
-    offsets = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
-    flat = la.flatten()
+    flat, offsets = flat_spans(spans_col)
 
     kind = flat.field("kind")
     text = flat.field("text")

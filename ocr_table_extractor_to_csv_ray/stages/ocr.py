@@ -23,7 +23,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..config import LayoutConfig
-from ..core.spans import KIND_MEDIA, KIND_WORD, encode_bbox_ref
+from ..core.spans import KIND_MEDIA, KIND_WORD, count_per_row, encode_bbox_ref, flat_spans
 
 _FAKE_WORDS = [
     "Caja", "Bancos", "Clientes", "Inventario", "Proveedores", "Capital",
@@ -102,8 +102,7 @@ class PdfRasterizeStage:
         other span fields flow through vectorized ``take``s; per-row
         offsets are renumbered with one arange subtraction."""
         import pyarrow.compute as pc
-        spans_col = batch["spans"].combine_chunks() if isinstance(batch["spans"], pa.ChunkedArray) else batch["spans"]
-        values = spans_col.flatten()
+        values, starts = flat_spans(batch["spans"])
         refs = values.field("media_ref")
         is_pdf_arr = pc.and_(pc.equal(values.field("kind"), KIND_MEDIA),
                              pc.starts_with(refs, "pdf://"))
@@ -131,12 +130,8 @@ class PdfRasterizeStage:
         text = values.field("text")
         text_pool = pa.concat_arrays([text, pa.array([""], text.type)])
         text_take = np.where(is_new, n_vals, rep_idx)  # pages get text=""
-        lens = pc.fill_null(spans_col.value_lengths(), 0).to_numpy(
-            zero_copy_only=False).astype(np.int64)
-        starts = np.concatenate(([0], np.cumsum(lens)))
         # per-row expansion: new row length = sum of counts in the row
-        ccum = np.concatenate(([0], np.cumsum(counts)))
-        new_lens = ccum[starts[1:]] - ccum[starts[:-1]]
+        new_lens = count_per_row(starts, counts)
         new_starts = np.concatenate(([0], np.cumsum(new_lens)))
         # sequential per-row offsets, vectorized
         new_off = (np.arange(int(new_starts[-1]), dtype=np.int64)
@@ -152,7 +147,7 @@ class PdfRasterizeStage:
         new_col = pa.ListArray.from_arrays(
             pa.array(new_starts, pa.int32()), new_values)
         out_t = batch.drop_columns(["spans"])
-        return out_t.append_column("spans", new_col.cast(spans_col.type))
+        return out_t.append_column("spans", new_col.cast(batch.schema.field("spans").type))
 
 
 class OcrStage:
@@ -240,17 +235,14 @@ class OcrStage:
         the new word spans are built as one flat struct block and
         spliced after each row's originals."""
         import pyarrow.compute as pc
-        spans_col = batch["spans"].combine_chunks() if isinstance(batch["spans"], pa.ChunkedArray) else batch["spans"]
-        values = spans_col.flatten()
+        values, starts = flat_spans(batch["spans"])
         # vectorized fast path: batches with no media rows pass through
         # untouched (most of an interleaved corpus is text-only)
         media_arr = pc.equal(values.field("kind"), KIND_MEDIA)
         if pc.sum(pc.cast(media_arr, pa.int64())).as_py() in (0, None):
             return batch
-        n_rows = len(spans_col)
-        lens = pc.fill_null(spans_col.value_lengths(), 0).to_numpy(
-            zero_copy_only=False).astype(np.int64)
-        starts = np.concatenate(([0], np.cumsum(lens)))
+        lens = np.diff(starts)
+        n_rows = len(lens)
         offs_np = values.field("offset").to_numpy(zero_copy_only=False).astype(np.int64)
         media_idx = np.nonzero(media_arr.to_numpy(zero_copy_only=False))[0]
         media_refs = values.field("media_ref").take(pa.array(media_idx)).to_pylist()
@@ -307,4 +299,4 @@ class OcrStage:
         new_col = pa.ListArray.from_arrays(
             pa.array(new_starts, pa.int32()), new_values)
         out = batch.drop_columns(["spans"])
-        return out.append_column("spans", new_col.cast(spans_col.type))
+        return out.append_column("spans", new_col.cast(batch.schema.field("spans").type))
