@@ -10,8 +10,10 @@ from __future__ import annotations
 
 from typing import List, Sequence, Tuple
 
+import numpy as np
+
 from .doc import TokenSOA
-from .geometry import Line, adaptive_line_spans, line_spans, nearest_interval
+from .geometry import Line, adaptive_line_spans, line_spans, locate
 from .numeric import is_numeric_token
 from .records import Record
 
@@ -23,23 +25,18 @@ def assign_words_to_columns(
 ) -> List[Record]:
     """Token → containing column (inclusive), else nearest boundary;
     cells joined with a space in x-order (``assign.py:5-28``)."""
-    records: List[Record] = []
-    if not columns:
-        return records
-    for ln in lines:
-        cells: List[List[str]] = [[] for _ in columns]
-        for i in ln.idx:
-            xc = (int(toks.x1[i]) + int(toks.x2[i])) / 2.0
-            cells[nearest_interval(xc, columns)].append(toks.text[i])
-        records.append(
-            Record(
-                page=ln.page,
-                y_top=ln.y1,
-                y_bot=ln.y2,
-                cells=[" ".join(c).strip() for c in cells],
-            )
-        )
-    return records
+    if not columns or not lines:
+        return []
+    idx = np.concatenate([ln.idx for ln in lines])
+    line_of = np.repeat(np.arange(len(lines)), [ln.idx.size for ln in lines])
+    col = locate((toks.x1[idx] + toks.x2[idx]) / 2.0, columns, closed="both",
+                 fallback="boundary")
+    cells: List[List[List[str]]] = [[[] for _ in columns] for _ in lines]
+    for r, j, word in zip(line_of.tolist(), col.tolist(), toks.text[idx].tolist()):
+        cells[r][j].append(word)
+    return [Record(page=ln.page, y_top=ln.y1, y_bot=ln.y2,
+                   cells=[" ".join(c).strip() for c in row])
+            for ln, row in zip(lines, cells)]
 
 
 def assign_dynamic(
@@ -66,12 +63,15 @@ def assign_dynamic(
     if spans_per_line is None:
         spans_per_line = adaptive_line_spans(lines, toks)
 
+    col = iter(locate([(x1 + x2) / 2.0 for spans in spans_per_line
+                       for (x1, x2, _txt, num) in spans if num],
+                      cols, closed="both", fallback="boundary").tolist())
     for ln, spans in zip(lines, spans_per_line):
         label = " ".join(txt for (x1, _, txt, num) in spans if not num and x1 < first_left).strip()
         values = [""] * len(cols)
-        for (x1, x2, txt, num) in spans:
+        for (_x1, _x2, txt, num) in spans:
             if num:
-                j = nearest_interval((x1 + x2) / 2.0, cols)
+                j = next(col)
                 values[j] = values[j] or txt.strip()
 
         records.append(

@@ -15,7 +15,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .doc import TokenSOA
-from .geometry import Line, adaptive_line_spans, fast_percentile, nearest_interval
+from .geometry import Line, adaptive_line_spans, fast_percentile, locate
 from .numeric import YEAR_RE
 
 
@@ -41,16 +41,19 @@ def year_headers_from_top(
     if not ys:
         return None
     y_thr = min(ys) + 0.20 * (max(ys) - min(ys))
-    candidates: List[Tuple[int, str]] = []
+    centres: List[int] = []
+    years: List[str] = []
     for ln, spans in zip(lines, spans_per_line):
         if ln.y1 <= y_thr:
             for (x1, x2, txt, _num) in spans:
                 m = YEAR_RE.search(txt)
                 if m:
-                    xc = (x1 + x2) // 2
-                    candidates.append((nearest_interval(xc, intervals), m.group(0)))
-    if not candidates:
+                    centres.append((x1 + x2) // 2)
+                    years.append(m.group(0))
+    if not years:
         return None
+    candidates = list(zip(locate(centres, intervals, closed="both",
+                                 fallback="boundary").tolist(), years))
     names = [""] * len(intervals)
     for j in range(len(intervals)):
         votes = [yr for (idx, yr) in candidates if idx == j]

@@ -15,6 +15,32 @@ segment reductions and running maxima over the batch's flat token arrays,
 with one Python loop left, the running-band line sweep. The per-document
 entry points (:func:`build_lines`, :func:`adaptive_line_spans`,
 :func:`line_spans`) call the same code on a one-document batch.
+
+Every layout then runs the same two steps. The profile becomes intervals:
+:func:`cut_intervals` (the generic paths) and :func:`profile_intervals`
+(the model paths: a >= 1 px end guard and a full-extent fallback). Each
+point then goes to the interval that holds it, :func:`locate`, called once
+per document per site. The reference writes the second step once per
+module, each with its own quirk; here each quirk is one argument:
+
+* ``closed="both", fallback="boundary"``:
+  ``assigners.assign_words_to_columns``, per token (``assign.py:17-24``);
+  ``assigners.assign_dynamic``, per numeric span, and
+  ``colmodel.year_headers_from_top`` (``assign_dynamic.py:62-67``).
+* ``closed="left", fallback=None`` (the point is dropped):
+  ``records.merge_lines_into_rows``, record → row (``rows.py:54-61``);
+  ``gridpro.professional_grid``, token → column (``grid_builder.py:134-142``).
+* ``closed="left", fallback="centre"``: ``databuild.build_example``,
+  line → row (``dataset_builder.py:83-105``);
+  ``transformers_layout.assign_tokens_to_rows``
+  (``layout_transformers.py:341-360``).
+* ``closed="both", fallback="centre"``: ``databuild.build_example``,
+  token → column (``dataset_builder.py:108-119``);
+  ``transformers_layout.assign_columns_from_intervals``, which keeps a
+  valid model column (``layout_transformers.py:291-310``).
+
+gridpro's contiguous-left-edge intervals (``grid_builder.py:56-63``) are a
+different profile → intervals rule and stay in ``gridpro``.
 """
 
 from __future__ import annotations
@@ -214,6 +240,55 @@ def valley_cuts(
     return cuts
 
 
+def cut_intervals(lo: int, hi: int, mids: Sequence[int], min_size: int
+                  ) -> List[Tuple[int, int]]:
+    """The intervals between consecutive distinct cuts ``lo``, ``mids``,
+    ``hi``, kept when strictly wider than ``min_size``."""
+    cuts = sorted({lo, hi, *mids})
+    return [(a, b) for a, b in zip(cuts, cuts[1:]) if b - a > min_size]
+
+
+def profile_intervals(starts: np.ndarray, ends: np.ndarray, min_gap: int, min_size: int
+                      ) -> List[Tuple[int, int]]:
+    """Projection profile → intervals of the model paths
+    (``dataset_builder.py:49-80`` ≡ ``layout_transformers.py:228-255,313-338``):
+    every token covers >= 1 px (``end = max(start + 1, ...)``), valleys
+    longer than ``min_gap`` cut, :func:`cut_intervals` wider than
+    ``min_size``, and the full extent when there is no valley or no
+    interval."""
+    lo, hi = int(starts.min()), int(ends.max())
+    mids = valley_cuts(starts, np.maximum(ends, starts + 1), lo, hi, min_gap)
+    if mids is None:
+        return [(lo, hi)]
+    return cut_intervals(lo, hi, mids, min_size) or [(lo, hi)]
+
+
+def locate(points, intervals: Sequence[Tuple[int, int]], closed: str = "both",
+           fallback: Optional[str] = "boundary") -> np.ndarray:
+    """Index of the first interval that holds each point, as int64.
+
+    ``closed="both"`` holds ``lo <= p <= hi``, ``"left"`` holds
+    ``lo <= p < hi``. A point in no interval goes to the first interval
+    with the nearest boundary (``fallback="boundary"``) or the nearest
+    centre (``"centre"``); with ``fallback=None``, or when there are no
+    intervals, it gets -1. The module docstring lists the arguments of
+    every call site.
+    """
+    p = np.asarray(points, dtype=np.float64)
+    if not len(intervals):
+        return np.full(p.shape, -1, dtype=np.int64)
+    lo, hi = np.asarray(intervals, dtype=np.float64).T
+    d_lo, d_hi = p[:, None] - lo, p[:, None] - hi
+    out = (d_lo < 0) | ((d_hi >= 0) if closed == "left" else (d_hi > 0))
+    if fallback is None:
+        return np.where(out.all(axis=1), -1, out.argmin(axis=1))
+    dist = (np.abs(p[:, None] - (lo + hi) / 2.0) if fallback == "centre"
+            else np.minimum(np.abs(d_lo), np.abs(d_hi)))
+    # a held point scores -1, below every distance: argmin's first-minimum
+    # rule picks the first holding interval, else the first nearest one
+    return np.where(out, dist, -1.0).argmin(axis=1)
+
+
 def estimate_columns(
     lines: Sequence[Line],
     toks: TokenSOA,
@@ -242,8 +317,7 @@ def estimate_columns(
     mids = valley_cuts(x1, x2, x_min, x_max, col_valley_px)
     if mids is None:
         return [(x_min, x_max)]
-    cuts = sorted(set([x_min] + mids + [x_max]))
-    intervals = [(l, r) for l, r in zip(cuts, cuts[1:]) if r - l >= min_col_width]
+    intervals = cut_intervals(x_min, x_max, mids, min_col_width - 1)
 
     if expected_n_cols and expected_n_cols > 0 and len(intervals) != expected_n_cols:
         while len(intervals) > expected_n_cols:
@@ -392,13 +466,3 @@ def adaptive_line_spans(lines: Sequence[Line], toks: TokenSOA
                         ) -> List[List[Tuple[int, int, str, bool]]]:
     """One doc's :func:`dynamic_spans`."""
     return dynamic_spans(*gather_lines(lines, toks))
-
-
-def nearest_interval(xc: float, intervals: Sequence[Tuple[int, int]]) -> int:
-    """Containment first (inclusive ends), else nearest boundary
-    (reference ``assign.py:17-24`` / ``assign_dynamic.py:62-67``)."""
-    for i, (L, R) in enumerate(intervals):
-        if L <= xc <= R:
-            return i
-    dists = [min(abs(xc - L), abs(xc - R)) for (L, R) in intervals]
-    return int(np.argmin(dists))

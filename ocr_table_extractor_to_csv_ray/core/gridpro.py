@@ -8,8 +8,8 @@ Divergences from the generic layout that are CONTRACT here (SURVEY.md §7.0):
 * column intervals are built contiguously — the left edge only advances
   when an interval is emitted — with a STRICT ``> min_col_width`` test
   (``grid_builder.py:56-63``);
-* token→column assignment is half-open containment with NO nearest
-  fallback: out-of-interval tokens are dropped (``grid_builder.py:134-142``);
+* token → column is ``locate(closed="left", fallback=None)``: a token
+  outside every interval is dropped (``grid_builder.py:134-142``);
 * ``find_header_row_index`` returns -1 (not None) when nothing matches,
   and the caller treats -1 as a valid index: the LAST row becomes the
   header and the body duplicates rows (``grid_builder.py:65-81,145-152``)
@@ -23,7 +23,7 @@ from typing import List, Tuple
 import numpy as np
 
 from .doc import TokenSOA
-from .geometry import valley_cuts
+from .geometry import locate, valley_cuts
 
 
 def group_words_into_lines_pro(toks: TokenSOA, tolerance: int = 5) -> List[np.ndarray]:
@@ -122,17 +122,13 @@ def professional_grid(toks: TokenSOA) -> Tuple[List[str], List[List[str]]]:
     lines = group_words_into_lines_pro(toks)
     intervals = estimate_column_positions_pro(toks)
 
-    grid_rows: List[List[str]] = []
-    for line_idx in lines:
-        row = ["" for _ in intervals]
-        for i in line_idx:
-            xc = (int(toks.x1[i]) + int(toks.x2[i])) / 2
-            for j, (L, R) in enumerate(intervals):
-                if L <= xc < R:
-                    row[j] = (row[j] + " " + toks.text[i]).strip()
-                    break
-            # out-of-interval tokens dropped — no fallback
-        grid_rows.append(row)
+    idx = np.concatenate(lines)
+    line_of = np.repeat(np.arange(len(lines)), [line_idx.size for line_idx in lines])
+    col = locate((toks.x1[idx] + toks.x2[idx]) / 2, intervals, closed="left", fallback=None)
+    grid_rows: List[List[str]] = [["" for _ in intervals] for _ in lines]
+    for r, j, word in zip(line_of.tolist(), col.tolist(), toks.text[idx].tolist()):
+        if j >= 0:
+            grid_rows[r][j] = (grid_rows[r][j] + " " + word).strip()
 
     first_x1 = [int(toks.x1[line_idx[0]]) for line_idx in lines]
     hier_rows, depth = build_hierarchy(first_x1, grid_rows)

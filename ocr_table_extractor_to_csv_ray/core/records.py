@@ -3,8 +3,9 @@
 Reference semantics preserved exactly, including the quirks that are
 contract for span-equality:
 
-* records whose y-center falls outside EVERY row interval are silently
-  dropped — no nearest fallback (``rows.py:54-61``);
+* record → row is ``locate(closed="left", fallback=None)``: a record
+  whose y-center falls outside every row interval is dropped
+  (``rows.py:54-61``);
 * within a row, cells are right-padded to the longest record before the
   cell-wise space-join merge (``rows.py:69-78``);
 * ``merge_financial_rows`` never merges two value-bearing lines
@@ -15,14 +16,14 @@ contract for span-equality:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from statistics import median
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .doc import TokenSOA
-from .geometry import Line, valley_cuts
+from .geometry import Line, cut_intervals, locate, valley_cuts
 
 
 @dataclass
@@ -71,17 +72,13 @@ def merge_lines_into_rows(
             final_row = [_join_cells(a, b) for a, b in zip(final_row, r.cells)]
         return [final_row]
 
-    cuts = sorted(set([y_min] + mids + [y_max]))
-    row_intervals = [(t, b) for t, b in zip(cuts, cuts[1:]) if b - t > row_min_height]
-
+    row_intervals = cut_intervals(y_min, y_max, mids, row_min_height)
+    row_of = locate([(r.y_top + r.y_bot) / 2 for r in records], row_intervals,
+                    closed="left", fallback=None)
     buckets: List[List[List[str]]] = [[] for _ in row_intervals]
-    for r in records:
-        yc = (r.y_top + r.y_bot) / 2
-        for i, (top, bot) in enumerate(row_intervals):
-            if top <= yc < bot:
-                buckets[i].append(list(r.cells))
-                break
-        # else: dropped (rows.py:54-61 — no nearest fallback)
+    for r, i in zip(records, row_of.tolist()):
+        if i >= 0:
+            buckets[i].append(list(r.cells))
 
     final_rows: List[List[str]] = []
     for group in buckets:

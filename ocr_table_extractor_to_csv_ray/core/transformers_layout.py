@@ -20,7 +20,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .doc import TokenSOA
-from .geometry import valley_cuts
+from .geometry import locate, profile_intervals
 
 HEADER_PREFIX = "HEADER_COL_"
 BODY_PREFIX = "BODY_COL_"
@@ -77,22 +77,6 @@ class Predictions:
                            x2=toks.x2, y2=toks.y2, kind=kinds, column=cols)
 
 
-def _profile_intervals(starts: np.ndarray, ends: np.ndarray,
-                       min_gap: int, min_size: int) -> List[Tuple[int, int]]:
-    """Shared profile → intervals for G17-fallback/G19: endpoints are
-    included as cuts, intervals kept when strictly wider than
-    ``min_size``, full-extent fallback when no valley / no interval."""
-    lo, hi = int(starts.min()), int(ends.max())
-    # reference guard `end = max(start + 1, ...)`: every token covers >= 1 px
-    ends = np.maximum(np.asarray(ends), np.asarray(starts) + 1)
-    mids = valley_cuts(starts, ends, lo, hi, min_gap)
-    if mids is None:
-        return [(lo, hi)]
-    cuts = sorted(dict.fromkeys([lo] + mids + [hi]))
-    out = [(a, b) for a, b in zip(cuts, cuts[1:]) if b - a > min_size]
-    return out or [(lo, hi)]
-
-
 def derive_column_intervals(p: Predictions, max_columns: Optional[int]) -> List[Tuple[int, int]]:
     """G17 (``layout_transformers.py:203-288``): labeled-column extents
     ±3 px when the model labeled columns; else vertical-profile fallback
@@ -108,7 +92,7 @@ def derive_column_intervals(p: Predictions, max_columns: Optional[int]) -> List[
     def profile() -> List[Tuple[int, int]]:
         # reference builds the profile over width = x_max - x_min with
         # gap-run threshold len > 3 and interval width > 5
-        return _profile_intervals(p.x1, p.x2, min_gap=3, min_size=5)
+        return profile_intervals(p.x1, p.x2, min_gap=3, min_size=5)
 
     if not intervals:
         intervals = profile()
@@ -136,25 +120,13 @@ def derive_column_intervals(p: Predictions, max_columns: Optional[int]) -> List[
 def assign_columns_from_intervals(p: Predictions,
                                   intervals: List[Tuple[int, int]]) -> np.ndarray:
     """G18 (``layout_transformers.py:291-310``): keep a valid model
-    column; else containment, then nearest interval center. Returns the
+    column; else ``locate(closed="both", fallback="centre")``. Returns the
     effective column per token (mutating the SOA copy's ``column``)."""
     if not intervals:
         return p.column
-    centers = np.array([(a + b) / 2.0 for a, b in intervals])
     out = p.column.copy()
-    for i in range(len(p)):
-        c = out[i]
-        if 0 <= c < len(intervals):
-            continue
-        xc = p.xc[i]
-        idx = None
-        for j, (a, b) in enumerate(intervals):
-            if a <= xc <= b:
-                idx = j
-                break
-        if idx is None:
-            idx = int(np.argmin(np.abs(centers - xc)))
-        out[i] = idx
+    bad = (out < 0) | (out >= len(intervals))
+    out[bad] = locate(p.xc[bad], intervals, closed="both", fallback="centre")
     p.column = out
     return out
 
@@ -164,25 +136,15 @@ def compute_row_intervals(p: Predictions) -> List[Tuple[int, int]]:
     interval > 5, full-extent fallback."""
     if len(p) == 0:
         return []
-    return _profile_intervals(p.y1, p.y2, min_gap=2, min_size=5)
+    return profile_intervals(p.y1, p.y2, min_gap=2, min_size=5)
 
 
 def assign_tokens_to_rows(p: Predictions,
                           intervals: List[Tuple[int, int]]) -> np.ndarray:
-    """G20 (``layout_transformers.py:341-360``): containment
-    ``top <= yc < bottom`` then nearest-center fallback."""
-    n = len(p)
-    if not intervals:
-        return np.zeros(n, dtype=np.int64)
-    tops = np.array([a for a, _ in intervals], dtype=np.float64)
-    bots = np.array([b for _, b in intervals], dtype=np.float64)
-    centers = (tops + bots) / 2.0
-    yc = p.yc
-    out = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        inside = np.flatnonzero((tops <= yc[i]) & (yc[i] < bots))
-        out[i] = inside[0] if inside.size else int(np.argmin(np.abs(centers - yc[i])))
-    return out
+    """G20 (``layout_transformers.py:341-360``):
+    ``locate(closed="left", fallback="centre")``; row 0 for every token
+    when there are no intervals."""
+    return np.maximum(locate(p.yc, intervals, closed="left", fallback="centre"), 0)
 
 
 def compose_table(p: Predictions, max_columns: int = 6) -> Tuple[List[str], List[List[str]]]:

@@ -653,10 +653,6 @@ class SimHashStage:
         return out.append_column("simhash", pa.array(fps.astype(np.int64)))
 
 
-def hamming64(a: int, b: int) -> int:
-    return bin((int(a) ^ int(b)) & 0xFFFFFFFFFFFFFFFF).count("1")
-
-
 def _simhash_verify_group(g: pd.DataFrame, max_hamming: int,
                           cap: int = STAR_CAP) -> pd.DataFrame:
     """One band bucket → pairs within Hamming ≤ max_hamming

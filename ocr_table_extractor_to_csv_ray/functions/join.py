@@ -629,17 +629,3 @@ def pair_by_stem(image_paths: Sequence[str], hocr_paths: Sequence[str]
         if stem in by_stem:
             out.append((img, by_stem[stem]))
     return out
-
-
-def dedup_pairs(pairs: Sequence[Tuple[str, str]]) -> List[Tuple[str, str]]:
-    """A4 (``dataset_cli.py:189-195``): drop already-seen resolved
-    (image, hocr) pairs, preserving first occurrence order."""
-    seen = set()
-    out = []
-    for img, hocr in pairs:
-        k = (os.path.realpath(img), os.path.realpath(hocr))
-        if k in seen:
-            continue
-        seen.add(k)
-        out.append((img, hocr))
-    return out

@@ -194,49 +194,12 @@ class CountMinSketch:
         out.table = self.table + other.table
         return out
 
-    def to_bytes(self) -> bytes:
-        return self.table.tobytes()
-
-    @classmethod
-    def from_bytes(cls, data: bytes, w: int = 4096, d: int = 4,
-                   seed: int = 19) -> "CountMinSketch":
-        s = cls(w, d, seed)
-        s.table = np.frombuffer(data, dtype=np.int64).reshape(d, w).copy()
-        return s
-
-
-def cms_term_counts(ds, column: str = "text", w: int = 4096, d: int = 4):
-    """One serialized CMS per batch → driver merge (the 100 TB path for
-    term frequency when the vocabulary outgrows a groupby): returns the
-    merged sketch. Only ``d·w·8`` bytes per batch reach the driver."""
-    def sketch_batch(t: pa.Table) -> pa.Table:
-        text = t[column].combine_chunks() if isinstance(t[column], pa.ChunkedArray) else t[column]
-        toks = pc.split_pattern_regex(pc.utf8_trim_whitespace(text), r"\s+")
-        toks = toks.combine_chunks() if isinstance(toks, pa.ChunkedArray) else toks
-        flat = toks.flatten()
-        enc = flat.dictionary_encode()
-        codes = np.asarray(enc.indices.to_numpy(zero_copy_only=False), np.int64)
-        cnt = np.bincount(codes, minlength=len(enc.dictionary))
-        s = CountMinSketch(w, d)
-        hs = np.array([token_hash64(v) for v in enc.dictionary.to_pylist()],
-                      dtype=np.uint64)
-        if len(hs):
-            s.add_hashes(hs, cnt)
-        return pa.table({"sketch": pa.array([s.to_bytes()], pa.binary())})
-
-    merged = CountMinSketch(w, d)
-    for row in ds.select_columns([column]).map_batches(
-            sketch_batch, batch_format="pyarrow").iter_rows():
-        merged = merged.merge(CountMinSketch.from_bytes(row["sketch"], w, d))
-    return merged
-
 
 def top_terms(ds, k: int = 20, column: str = "text"):
     """EXACT top-``k`` terms by total occurrences: per-batch local
     counts (dictionary-encode + bincount) → vocabulary ``groupby.sum``
     → per-batch partial top-k on the aggregated stream → one tiny final
-    top-k. Ties break by ascending token. The CMS above is the sketch
-    alternative when even the aggregated vocabulary is too wide."""
+    top-k. Ties break by ascending token."""
     import pandas as pd
 
     from .agg import grouped_sum

@@ -9,8 +9,6 @@ header row, numeric variant and which files exist.
 
 Regenerate (only for an intended output change) with
 ``python tests/test_csv_golden.py``; it rewrites only the ``csv`` section.
-Run it after ``python tests/test_kernel_golden.py``, which rewrites the
-whole file.
 """
 
 from __future__ import annotations
@@ -66,17 +64,7 @@ def test_csv_golden():
 
 
 if __name__ == "__main__":
-    import subprocess
     import sys
     sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
-    from tests.test_kernel_golden import GOLDEN
-    sha = subprocess.run(["git", "rev-parse", "--short", "HEAD"], capture_output=True,
-                         text=True, cwd=os.path.dirname(GOLDEN)).stdout.strip()
-    with open(GOLDEN) as fh:
-        golden = json.load(fh)
-    golden["csv"] = dict(compute(), provenance=f"write_csv_batch files of the engine at "
-                                                f"{sha or 'unknown'}")
-    with open(GOLDEN, "w") as fh:
-        json.dump(golden, fh, indent=0, sort_keys=True)
-        fh.write("\n")
-    print(f"wrote the csv section of {GOLDEN}")
+    from tests.test_kernel_golden import GOLDEN, write_section
+    write_section(GOLDEN, "csv", compute(), "write_csv_batch files")

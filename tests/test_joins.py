@@ -1,4 +1,4 @@
-"""Broadcast join, sessionize, stem pairing (J2), pair dedup (A4)."""
+"""Broadcast join, sessionize, stem pairing (J2)."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import pandas as pd
 import pyarrow as pa
 
 from ocr_table_extractor_to_csv_ray.functions.join import (
-    broadcast_join, dedup_pairs, pair_by_stem, sessionize)
+    broadcast_join, pair_by_stem, sessionize)
 
 
 def test_pair_by_stem():
@@ -17,13 +17,6 @@ def test_pair_by_stem():
         ("/a/doc1.png", "/h/doc1.hocr"),
         ("/a/doc2.jpg", "/h/doc2.hocr"),
     ]
-
-
-def test_dedup_pairs(tmp_path):
-    a = tmp_path / "a.png"; a.write_bytes(b"x")
-    b = tmp_path / "b.hocr"; b.write_bytes(b"y")
-    pairs = [(str(a), str(b)), (str(a), str(b)), (str(tmp_path / "." / "a.png"), str(b))]
-    assert dedup_pairs(pairs) == [(str(a), str(b))]
 
 
 def test_broadcast_join(ray_session):

@@ -13,7 +13,8 @@ output row: layout, ``n_rows``, ``n_cols``, error and the ordered
 The snapshot is the oracle that needs no reference checkout: a change to
 any layout kernel that alters one cell of one document fails it.
 Regenerate (only for an intended output change) with
-``python tests/test_kernel_golden.py``.
+``python tests/test_kernel_golden.py``; it rewrites only the ``inputs``
+section (:func:`write_section`).
 """
 
 from __future__ import annotations
@@ -64,24 +65,35 @@ def compute() -> dict:
     return {name: doc_digests(extract_batch(tbl, cfg)) for name, (tbl, cfg) in _inputs().items()}
 
 
+def write_section(path: str, key: str, value: dict, what: str) -> None:
+    """Replace section ``key`` of the golden file ``path`` with ``value``
+    plus a provenance line naming ``what`` and the checked-out sha; every
+    other section is kept as it is."""
+    import subprocess
+    sha = subprocess.run(["git", "rev-parse", "--short", "HEAD"], capture_output=True,
+                         text=True, cwd=os.path.dirname(path)).stdout.strip()
+    golden = {}
+    if os.path.exists(path):
+        with open(path) as fh:
+            golden = json.load(fh)
+    golden[key] = dict(value, provenance=f"{what} of the engine at {sha or 'unknown'}")
+    with open(path, "w") as fh:
+        json.dump(golden, fh, indent=0, sort_keys=True)
+        fh.write("\n")
+    print(f"wrote the {key} section of {path}")
+
+
 def test_kernel_golden():
     with open(GOLDEN) as fh:
         golden = json.load(fh)
-    got = compute()
-    for name, want in golden["inputs"].items():
-        diff = sorted(d for d in want if got[name].get(d) != want[d])
-        assert not diff and len(got[name]) == len(want), (
+    for name, got in compute().items():
+        want = golden["inputs"][name]
+        diff = sorted(d for d in want if got.get(d) != want[d])
+        assert not diff and len(got) == len(want), (
             f"{name}: {len(diff)} docs differ from the snapshot, first {diff[:5]}")
 
 
 if __name__ == "__main__":
-    import subprocess
     import sys
     sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
-    sha = subprocess.run(["git", "rev-parse", "--short", "HEAD"], capture_output=True,
-                         text=True, cwd=os.path.dirname(GOLDEN)).stdout.strip()
-    with open(GOLDEN, "w") as fh:
-        json.dump({"provenance": f"extract_batch output of the engine at {sha or 'unknown'}",
-                   "inputs": compute()}, fh, indent=0, sort_keys=True)
-        fh.write("\n")
-    print(f"wrote {GOLDEN}")
+    write_section(GOLDEN, "inputs", compute(), "extract_batch output")

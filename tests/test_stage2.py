@@ -317,7 +317,11 @@ def test_ngram_dedup_no_text_to_driver(ray_session, monkeypatch):
 
 
 def test_simhash_hamming():
-    from ocr_table_extractor_to_csv_ray.functions.dedup import SimHashStage, hamming64
+    from ocr_table_extractor_to_csv_ray.functions.dedup import SimHashStage
+
+    def hamming64(a: int, b: int) -> int:
+        return bin((a ^ b) & 0xFFFFFFFFFFFFFFFF).count("1")
+
     st = SimHashStage()
     a = st.simhash("the quick brown fox jumps over the lazy dog " * 3)
     b = st.simhash("the quick brown fox jumps over the lazy cat " * 3)
@@ -909,7 +913,7 @@ def test_text_ops_handle_null_text(ray_session):
 def test_cms_overestimates_within_bound_and_merges(ray_session):
     import ray.data as rd
     from ocr_table_extractor_to_csv_ray.functions.sketch import (
-        CountMinSketch, cms_term_counts, top_terms)
+        CountMinSketch, top_terms)
     from ocr_table_extractor_to_csv_ray.functions.textstats import token_hash64
     rng = np.random.default_rng(21)
     vocab = [f"tok{i}" for i in range(400)]
@@ -921,11 +925,12 @@ def test_cms_overestimates_within_bound_and_merges(ray_session):
             true[w] = true.get(w, 0) + 1
         docs.append({"doc_id": i, "text": " ".join(words)})
     ds = rd.from_items(docs).repartition(5)
-    cms = cms_term_counts(ds)
     n_total = sum(true.values())
     hs = np.array([token_hash64(w) for w in true], np.uint64)
-    est = cms.query_hashes(hs)
     tv = np.array(list(true.values()))
+    cms = CountMinSketch()
+    cms.add_hashes(hs, tv)
+    est = cms.query_hashes(hs)
     assert (est >= tv).all()                       # never underestimates
     assert (est - tv).max() <= max(1, 0.01 * n_total) * 4   # eps*N slack
     # merge associativity: (a+b)+c == a+(b+c) tables
