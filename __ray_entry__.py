@@ -93,10 +93,7 @@ def _extract(sf_dir: str, layout: str):
     from ocr_table_extractor_to_csv_ray.config import EngineConfig, LayoutConfig
     from ocr_table_extractor_to_csv_ray.pipelines.extract import build_extraction_ds
     cfg = EngineConfig(layout=LayoutConfig(layout=layout))
-    ds, stats = _corpus(sf_dir, with_stats=True)
-    out = build_extraction_ds(
-        ds, cfg,
-        known_max_spans=None if stats is None else stats.get("max_spans_per_doc"))
+    out = build_extraction_ds(_corpus(sf_dir), cfg)
     return out.select_columns(["doc_id", "layout", "n_rows", "n_cols"])
 
 
@@ -128,10 +125,7 @@ def _extract_knobs(sf_dir: str):
         layout="generic", expected_n_cols=4,
         table_bbox=(0, 0, 2000, 2400),
         header_regexes=("concepto", "descripcion")))
-    ds, stats = _corpus(sf_dir, with_stats=True)
-    out = build_extraction_ds(
-        ds, cfg,
-        known_max_spans=None if stats is None else stats.get("max_spans_per_doc"))
+    out = build_extraction_ds(_corpus(sf_dir), cfg)
     return out.select_columns(["doc_id", "n_rows", "n_cols"])
 
 

@@ -94,9 +94,6 @@ def run_bench(sf_dir: str, num_cpus: int) -> dict:
     out_dir = "/tmp/bench_extract_out"
     shutil.rmtree(out_dir, ignore_errors=True)
 
-    from ocr_table_extractor_to_csv_ray.pipelines.extract import corpus_stats
-    stats = corpus_stats(corpus_path)
-
     def headline():
         # block-aligned parquet sink (one file per output block); the
         # hive-partitioned layout is the resumable pipeline's concern —
@@ -107,10 +104,7 @@ def run_bench(sf_dir: str, num_cpus: int) -> dict:
         shutil.rmtree(out_dir, ignore_errors=True)
         ds = rd.read_parquet(corpus_path, columns=["doc_id", "spans"])
         cfg = EngineConfig(layout=LayoutConfig(layout="dynamic"))
-        build_extraction_ds(
-            ds, cfg,
-            known_max_spans=None if stats is None else stats.get("max_spans_per_doc"),
-        ).write_parquet(out_dir)
+        build_extraction_ds(ds, cfg).write_parquet(out_dir)
 
     # one untimed headline pass first: the dominant run-to-run noise on
     # these VMs is host page provisioning on FIRST TOUCH (see

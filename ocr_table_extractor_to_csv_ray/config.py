@@ -53,8 +53,8 @@ class EngineConfig:
     num_partitions: int = 0                 # 0 => let Ray pick read parallelism
     partition_field: str = "part_id"        # hash(doc_id) % num_output_partitions
     num_output_partitions: int = 32         # resumable-output granularity
-    oversize_token_threshold: int = 200_000 # page-split docs above this many spans
-    skew_guard: bool = True                 # split/reassemble oversized docs
+    oversize_token_threshold: int = 200_000 # no engine stage reads it; perfbench sets it
+    skew_guard: bool = True                 # transformers: page-split OCR of media-heavy docs
     ocr_pages_per_shard: int = 16           # max media spans per OCR shard
     ocr_concurrency: int = 0                # OCR actor pool size (0 = auto: CPU-scaled)
     # batch sizes trade per-call overhead against worker heap: these

@@ -83,9 +83,9 @@ def dedup_first_wins(ds, key: str = "doc_id"):
     the whole dataset through the shuffle for nothing. Instead: a
     keys-only ``groupby.count`` finds the (usually empty) duplicate-key
     set; no duplicates → the stream passes through untouched; otherwise
-    only duplicate-key rows shuffle while the rest bypass (same
-    selective pattern as the skew guard). Arrow batches throughout —
-    ``list<struct>`` columns don't survive a pandas round-trip."""
+    only duplicate-key rows shuffle while the rest bypass. Arrow
+    batches throughout — ``list<struct>`` columns don't survive a
+    pandas round-trip."""
     import pyarrow.compute as pc
     import ray
 

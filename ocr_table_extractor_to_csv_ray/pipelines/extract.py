@@ -6,8 +6,12 @@ re-expressed Ray-Data-first; physical plan in SURVEY.md §4.3).
       └─ map_batches(extract_batch)           # fused per-doc geometry kernel
       └─ write_parquet(partition_cols=...)    # resumable partitioned output
 
-Streaming end-to-end: no stage materializes the dataset; the only
-materialization anywhere is the (tiny) per-shard lineage record.
+One scan, one fused map chain, no shuffle. There is no skew guard in
+this plan: a page split may only cover per-shard parse/OCR stages and
+must be reassembled before the geometry kernel (SURVEY.md §4.2), and
+this plan has no such stage. Streaming end-to-end: no stage
+materializes the dataset; the only materialization anywhere is the
+(tiny) per-shard lineage record.
 """
 
 from __future__ import annotations
@@ -49,13 +53,13 @@ def _dir_fingerprint(input_dir: str) -> List[List]:
 def corpus_stats(input_dir: str) -> Optional[Dict]:
     """Manifest-style corpus statistics sidecar (the single-directory
     stand-in for Iceberg/Delta file stats). When present AND fresh, the
-    skew guard's oversized-tail decision is a dictionary lookup instead
-    of a full streaming probe pass over 100 TB of spans. Bare parquet
-    directories without a sidecar — or a sidecar whose recorded file
-    fingerprint no longer matches the directory (files modified in
-    place after ``write_corpus_stats``) — fall back to the probe, so a
-    stale ``doc_ids_unique`` / ``max_spans_per_doc`` can never silently
-    skip dedup or the oversized-doc split."""
+    transformers skew guard's engagement and the dedup decision are a
+    dictionary lookup instead of a full streaming probe pass over 100 TB
+    of spans. Bare parquet directories without a sidecar — or a sidecar
+    whose recorded file fingerprint no longer matches the directory
+    (files modified in place after ``write_corpus_stats``) — fall back to
+    the probe, so a stale ``doc_ids_unique`` / ``max_media_per_doc`` can
+    never silently skip dedup or the OCR page split."""
     import json
     p = os.path.join(input_dir, STATS_FILE)
     if not os.path.exists(p):
@@ -129,25 +133,19 @@ def add_part_id_batch(t: pa.Table, num_partitions: int) -> pa.Table:
 
 def build_extraction_ds(ds, cfg: EngineConfig,
                         known_max_spans: Optional[int] = None):
-    """Attach the extraction stages to an input Dataset (lazy).
+    """Attach the extraction stages to an input Dataset (lazy): one fused
+    ``add_part_id → extract_batch`` chain over the read, so the plan is
+    one scan and no shuffle.
 
-    Skew guard (north rule: "skew-aware split of oversized multi-page
-    PDFs"): oversized rows are span-split and reassembled before the
-    geometry kernel (G2/G4 profiles are cross-page — the kernel must
-    see whole documents). The oversized-tail decision comes from, in
-    order: ``known_max_spans`` (the ``corpus_stats`` manifest sidecar —
-    free), else a streaming probe pass over span counts. A corpus with
-    NO oversized docs skips the guard wholesale (no split columns, no
-    second pass). When the tail exists, ``selective=True``: never-split
-    rows bypass the reassembly shuffle, which moves only the oversized
-    shards.
+    No skew guard here: its split may only cover per-shard parse/OCR
+    stages and must be undone before the geometry kernel, whose G2/G4
+    profiles span all pages (SURVEY.md §4.2). This plan has no per-shard
+    stage, so a split would hand the kernel exactly the rows it read,
+    at the price of a second scan and an all-to-all reassembly.
+    ``cfg.skew_guard`` / ``cfg.oversize_token_threshold`` are not read.
+    ``known_max_spans`` is still accepted (perfbench passes it); no
+    stage reads it.
     """
-    if cfg.skew_guard:
-        from ..stages.skew import with_skew_guard
-        ds = with_skew_guard(ds, lambda d: d,
-                             max_spans=cfg.oversize_token_threshold,
-                             selective=True, probe=True,
-                             known_max=known_max_spans)
     ds = ds.map_batches(
         functools.partial(add_part_id_batch, num_partitions=cfg.num_output_partitions),
         batch_format="pyarrow",
@@ -211,13 +209,9 @@ def run_extraction(input_dir: str, out_dir: str,
                    output_format: str = "parquet"):
     """Single-shot streaming run (bench path): read → extract → write."""
     cfg = cfg or EngineConfig()
-    stats = corpus_stats(input_dir) if input_format == "parquet" else None
     src = corpus_files(input_dir) if input_format == "parquet" else input_dir
     ds = read_corpus(src, cfg.num_partitions, format=input_format)
-    out = build_extraction_ds(
-        ds, cfg,
-        known_max_spans=None if stats is None else stats.get("max_spans_per_doc"))
-    return write_output(out, out_dir, format=output_format,
+    return write_output(build_extraction_ds(ds, cfg), out_dir, format=output_format,
                         partition_cols=["part_id"])
 
 
@@ -234,8 +228,6 @@ def run_extraction_resumable(input_dir: str, out_dir: str,
     shard loop only bounds the blast radius of a failure.
     """
     cfg = cfg or EngineConfig()
-    stats = corpus_stats(input_dir)
-    known_max = None if stats is None else stats.get("max_spans_per_doc")
     files = corpus_files(input_dir)
     shards = lineage.shard_input_files(files, num_shards)
     done, ran = [], []
@@ -246,7 +238,7 @@ def run_extraction_resumable(input_dir: str, out_dir: str,
         lineage.reset_shard(out_dir, sid)
         with lineage.ShardTimer() as t:
             ds = read_corpus(shard_files, cfg.num_partitions)
-            out = build_extraction_ds(ds, cfg, known_max_spans=known_max)
+            out = build_extraction_ds(ds, cfg)
             sdir = lineage.shard_dir(out_dir, sid)
             out.write_parquet(sdir)
             import pyarrow.dataset as pads

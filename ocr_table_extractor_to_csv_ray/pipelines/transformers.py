@@ -94,12 +94,11 @@ def build_transformers_ds(ds, cfg: Optional[EngineConfig] = None,
         # split AFTER rasterize (a 10k-page pdf is one span until its
         # pages exist) so the OCR pool sees ≤ ocr_pages_per_shard page
         # images per shard; reassemble BEFORE the scorer (the model
-        # consumes whole documents). selective=False: OCR is the
-        # expensive stage and must not execute twice.
+        # consumes whole documents).
         from ..core.spans import KIND_MEDIA
         from ..stages.skew import with_skew_guard
         ds = with_skew_guard(ds, _ocr, max_spans=cfg.ocr_pages_per_shard,
-                             count_kind=KIND_MEDIA, selective=False)
+                             count_kind=KIND_MEDIA)
     else:
         ds = _ocr(ds)
     ds = ds.map_batches(

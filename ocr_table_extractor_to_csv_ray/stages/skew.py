@@ -6,39 +6,31 @@ BETWEEN rows, never inside one). The guard:
 
     map_batches(split_oversized)        # flat-map: giant doc → per-page shard rows
       ... parse / OCR stages ...        # per-shard, embarrassingly parallel
-    reassemble                          # restore one row per doc
+    groupby(row).map_groups(reassemble) # restore one row per input row
 
 Validity boundary (SURVEY.md §4.2): the geometry kernels compute the
 column/row profiles across ALL pages jointly (``columns.py:14-27``,
 ``rows.py:18-30``), so the split may only cover parse/OCR stages —
-``reassemble`` must run BEFORE the extraction kernel. Shard rows carry
-``(doc_id, shard_no, n_shards, media_base)``; reassembly concatenates
-spans in ``shard_no`` order and re-bases offsets, so the output row is
-byte-identical to the unsplit document. ``media_base`` (count of media
-spans in earlier shards) lets the OCR stage keep GLOBAL page numbers —
-shard 2's first page image is page 17, not page 1. Split and
-reassembly never decode a span: shard ids come from numpy offset
-arithmetic over the flat spans and the span structs move by Arrow
-``take``, so a batch holding an oversized row costs no Python per span.
+``reassemble`` must run BEFORE the extraction kernel. A pipeline with no
+per-shard stage therefore has no use for the guard: the flagship
+extraction plan reads whole documents straight into the kernel, and only
+the transformers plan (OCR actor pool) wraps its OCR stage in it.
 
-Two reassembly strategies (``with_skew_guard(selective=...)``):
-
-- ``selective=True`` — rows that were never split bypass the shuffle
-  entirely; only oversized-doc shards go through the
-  ``groupby(doc_id)`` reassembly. The price is that the input +
-  ``inner_stages`` execute twice (two lazy consumers), so use it when
-  ``inner_stages`` is cheap relative to an all-to-all of the corpus
-  (the flagship: inner is identity, so the second pass is a re-read
-  plus the columnar split, and the shuffle moves only the oversized
-  tail). Traced on ``mixed_layouts_tail`` (1000 docs, 1-vCPU VM) the
-  split costs 0.02–0.04 ms/doc per pass.
-- ``selective=False`` — one pass, one full ``groupby(doc_id)``
-  shuffle. Use it when ``inner_stages`` is expensive (the OCR actor
-  pool) and must not run twice.
+Shard rows carry ``(shard_no, n_shards, media_base)`` (``GUARD_COLS``)
+and the input row's ``ROW_KEY``; reassembly concatenates spans in
+``shard_no`` order and re-bases offsets, so the output row is
+byte-identical to the unsplit row. ``media_base`` (count of media spans
+in earlier shards) lets the OCR stage keep GLOBAL page numbers — shard
+2's first page image is page 17, not page 1. Split and reassembly never
+decode a span: shard ids come from numpy offset arithmetic over the flat
+spans and the span structs move by Arrow ``take``, so a batch holding an
+oversized row costs no Python per span.
 """
 
 from __future__ import annotations
 
+import functools
+import uuid
 from typing import Optional, Tuple
 
 import numpy as np
@@ -48,6 +40,10 @@ import pyarrow.compute as pc
 from ..core.spans import KIND_MEDIA, count_per_row, flat_spans, kind_flags
 
 GUARD_COLS = ("shard_no", "n_shards", "media_base")
+# the input row a shard came from: set by with_skew_guard and dropped by
+# reassemble_group, but not in GUARD_COLS, which names exactly the
+# columns split_oversized_batch appends
+ROW_KEY = "guard_row"
 
 
 def _check_max_spans(max_spans: int) -> None:
@@ -122,11 +118,11 @@ def split_oversized_batch(batch: pa.Table, max_spans: int = 50_000,
 
 
 def reassemble_group(g: pa.Table) -> pa.Table:
-    """One group = all shards of one doc_id → single row, spans
+    """One group = all shards of one input row → single row, spans
     concatenated in shard order with offsets re-based to one sequence.
     Doc-level columns (anything besides spans + guard cols) come from
     shard 0 — they were replicated identically onto every shard."""
-    guard = [c for c in GUARD_COLS if c in g.column_names]
+    guard = [c for c in GUARD_COLS + (ROW_KEY,) if c in g.column_names]
     if g.num_rows == 1 and g["n_shards"][0].as_py() == 1:
         return g.drop_columns(guard)
     order = pa.array(np.argsort(g["shard_no"].to_numpy(zero_copy_only=False), kind="stable"))
@@ -140,40 +136,6 @@ def reassemble_group(g: pa.Table) -> pa.Table:
     row0 = g.drop_columns(["spans"]).take(order[:1])
     row0 = row0.add_column(g.schema.get_field_index("spans"), field, spans)
     return row0.drop_columns(guard)
-
-
-def _only_normal(t: pa.Table) -> pa.Table:
-    keep = t.filter(pc.equal(t["n_shards"], pa.scalar(1, pa.int32())))
-    return keep.drop_columns([c for c in GUARD_COLS if c in keep.column_names])
-
-
-def _only_sharded(t: pa.Table) -> pa.Table:
-    return t.filter(pc.greater(t["n_shards"], pa.scalar(1, pa.int32())))
-
-
-def max_span_count(ds, count_kind: Optional[str] = None) -> int:
-    """One streaming pass over the ``spans`` column computing the max
-    per-row (counted) span count — zero-copy Arrow offset math, no
-    Python span work. This is the stat a manifest layer (Iceberg/Delta
-    file statistics) would carry for free; ``generate_corpus`` persists
-    it as a ``_STATS.json`` sidecar so steady-state runs never pay this
-    pass (see ``pipelines/extract.py::corpus_stats``)."""
-    def _max_count(t: pa.Table) -> pa.Table:
-        flat, offsets = flat_spans(t["spans"])
-        counts = count_per_row(offsets, kind_flags(flat, count_kind))
-        return pa.table({"m": pa.array([int(counts.max(initial=0))], pa.int64())})
-
-    mx = ds.select_columns(["spans"]).map_batches(
-        _max_count, batch_format="pyarrow").max("m")
-    return int(mx or 0)
-
-
-def has_oversized(ds, max_spans: int, count_kind: Optional[str] = None) -> bool:
-    """Probe: does ANY row exceed the shard threshold? Costs a full
-    streaming pass — prefer a manifest stat (``known_max``) when one
-    exists; the pass is still far cheaper than an unwarranted
-    all-to-all reassembly shuffle."""
-    return max_span_count(ds, count_kind) > max_spans
 
 
 def media_probe(ds) -> tuple:
@@ -194,40 +156,31 @@ def media_probe(ds) -> tuple:
     return int(parts["m"].max()), bool(parts["pdf"].sum() > 0)
 
 
+def _split_rows(batch: pa.Table, max_spans: int,
+                count_kind: Optional[str]) -> pa.Table:
+    """:func:`split_oversized_batch` after tagging every input row with
+    ``ROW_KEY``: a per-call uuid plus the row ordinal, so the key is
+    unique across Ray tasks and its shards all carry it."""
+    key = pc.binary_join_element_wise(
+        uuid.uuid4().hex + ":",
+        pc.cast(pa.array(np.arange(batch.num_rows)), pa.string()), "")
+    return split_oversized_batch(batch.append_column(ROW_KEY, key),
+                                 max_spans=max_spans, count_kind=count_kind)
+
+
 def with_skew_guard(ds, inner_stages, max_spans: int = 50_000,
-                    count_kind: Optional[str] = None,
-                    selective: bool = False, probe: bool = False,
-                    known_max: Optional[int] = None):
+                    count_kind: Optional[str] = None):
     """``split → inner_stages(ds) → reassemble``. ``inner_stages`` is a
     callable Dataset → Dataset limited to per-span transforms (parse,
-    OCR). See the module docstring for the ``selective`` trade-off.
-
-    ``known_max`` is the manifest stat (max counted spans per row, e.g.
-    from ``corpus_stats``): when provided it decides instantly — no
-    probe pass at all. Otherwise ``probe=True`` runs
-    :func:`has_oversized` (one streaming pass). Either way, when
-    nothing in the corpus crosses the threshold the guard vanishes
-    entirely — ``inner_stages`` runs on the raw stream with no split
-    columns, no second pass and no shuffle."""
-    import functools
-
+    OCR). Reassembly groups on the input row (``ROW_KEY``), not on
+    ``doc_id`` alone, so distinct rows that share a ``doc_id`` stay
+    distinct; ``doc_id`` leads the key only to keep the output in
+    ``doc_id`` order. Whether to engage the guard at all is the
+    caller's decision (``build_transformers_ds`` takes it from the
+    manifest stat or :func:`media_probe`)."""
     _check_max_spans(max_spans)
-    if known_max is not None:
-        if known_max <= max_spans:
-            return inner_stages(ds)
-    elif probe and not has_oversized(ds, max_spans, count_kind):
-        return inner_stages(ds)
-
     ds = ds.map_batches(
-        functools.partial(split_oversized_batch, max_spans=max_spans,
-                          count_kind=count_kind),
+        functools.partial(_split_rows, max_spans=max_spans, count_kind=count_kind),
         batch_format="pyarrow")
-    ds = inner_stages(ds)
-    if not selective:
-        return ds.groupby("doc_id").map_groups(reassemble_group,
-                                               batch_format="pyarrow")
-    normal = ds.map_batches(_only_normal, batch_format="pyarrow")
-    sharded = (ds.map_batches(_only_sharded, batch_format="pyarrow")
-               .groupby("doc_id").map_groups(reassemble_group,
-                                             batch_format="pyarrow"))
-    return normal.union(sharded)
+    return inner_stages(ds).groupby(["doc_id", ROW_KEY]).map_groups(
+        reassemble_group, batch_format="pyarrow")

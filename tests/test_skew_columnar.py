@@ -170,4 +170,4 @@ def test_max_spans_below_one_raises(bad):
     with pytest.raises(ValueError, match="max_spans"):
         split_oversized_batch(t, max_spans=bad)
     with pytest.raises(ValueError, match="max_spans"):
-        with_skew_guard(None, lambda d: d, max_spans=bad, known_max=0)
+        with_skew_guard(None, lambda d: d, max_spans=bad)

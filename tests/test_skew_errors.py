@@ -217,28 +217,6 @@ def test_transformers_guard_invariance(ray_session):
     assert plain[0]["n_rows"] == guarded[0]["n_rows"]
 
 
-def test_probe_skips_guard_when_no_oversized(ray_session, corpus_dir):
-    """probe=True on a corpus with no oversized docs must collapse to
-    the bare inner pipeline (no guard columns, identical rows)."""
-    import ray.data as rd
-    from ocr_table_extractor_to_csv_ray.stages.skew import has_oversized
-
-    ds = rd.read_parquet(corpus_dir, columns=["doc_id", "spans"])
-    assert not has_oversized(ds, 50_000)
-    assert has_oversized(ds, 5)                  # tiny threshold trips it
-    guarded = with_skew_guard(
-        rd.read_parquet(corpus_dir, columns=["doc_id", "spans"]),
-        lambda d: d, max_spans=50_000, probe=True)
-    assert set(guarded.schema().names) == {"doc_id", "spans"}
-    out = {r["doc_id"]: r["spans"] for r in guarded.take_all()}
-    ref = {r["doc_id"]: r["spans"]
-           for r in rd.read_parquet(corpus_dir, columns=["doc_id", "spans"]).take_all()}
-    assert out == ref
-    # media-kind probe: corpus has <=2 media spans per doc
-    assert not has_oversized(ds, 16, count_kind="media")
-    assert has_oversized(ds, 0, count_kind="media")
-
-
 def test_corpus_stats_sidecar(ray_session, tmp_path):
     """Manifest stats: one ingest-time pass persists the oversized-tail
     decision; later runs never pay the probe."""
@@ -284,10 +262,52 @@ def test_corpus_stats_sidecar(ray_session, tmp_path):
     assert media_stat_bound(None) is None
 
 
-def test_known_max_decides_without_probe(ray_session, tmp_path):
-    """known_max (manifest stat) short-circuits both ways: <= threshold
-    collapses the guard; > threshold splits without a probe pass —
-    extraction stays invariant either way."""
+def _media_rows(rows):
+    """``(doc_id, n_media)`` pairs → a table of media-only docs whose
+    refs name the row, so merged rows cannot pass for the input."""
+    return pa.table({
+        "doc_id": pa.array([d for d, _ in rows]),
+        "spans": pa.array([[{"kind": "media", "text": "", "offset": i,
+                             "media_ref": f"img://{d}{r}/p{i}"} for i in range(n)]
+                           for r, (d, n) in enumerate(rows)], pa.list_(SPAN_TYPE))})
+
+
+def _rows(records):
+    return sorted((r["doc_id"], repr(r["spans"])) for r in records)
+
+
+def test_guard_keeps_rows_that_share_a_doc_id(ray_session):
+    """Reassembly groups shards by input row, not by doc_id: two unsplit
+    rows of ``d``, and a split plus an unsplit row of ``f``, come out one
+    row per input row with their spans unchanged. The two blocks are
+    split by separate tasks, so row ordinals alone would collide."""
+    import ray.data as rd
+    from ocr_table_extractor_to_csv_ray.config import EngineConfig, LayoutConfig
+    from ocr_table_extractor_to_csv_ray.pipelines.transformers import build_transformers_ds
+
+    blocks = [_media_rows([("d", 3), ("e", 20), ("f", 20)]),
+              _media_rows([("d", 2), ("f", 2)])]
+    t = pa.concat_tables(blocks)
+    out = with_skew_guard(rd.from_arrow(blocks), lambda d: d, max_spans=16,
+                          count_kind="media").take_all()
+    assert _rows(out) == _rows(t.to_pylist())
+
+    lcfg = LayoutConfig(layout="transformers")
+    plain = build_transformers_ds(
+        rd.from_arrow(blocks), EngineConfig(layout=lcfg, skew_guard=False)).take_all()
+    guarded = build_transformers_ds(
+        rd.from_arrow(blocks), EngineConfig(layout=lcfg, skew_guard=True,
+                                            ocr_pages_per_shard=1)).take_all()
+    assert len(guarded) == len(plain) == t.num_rows
+    assert _rows(guarded) == _rows(plain)
+
+
+def test_extraction_plan_is_one_scan(ray_session, tmp_path):
+    """A corpus with a doc above ``oversize_token_threshold`` still runs
+    as one fused read → map chain, with or without the manifest max: one
+    ReadParquet, no shuffle or union, and the stage ahead of the
+    extraction sees every row exactly once (no probe, no second pass).
+    Output equals the ``skew_guard=False`` run."""
     import os
     import ray.data as rd
     import pyarrow.parquet as pq
@@ -298,30 +318,34 @@ def test_known_max_decides_without_probe(ray_session, tmp_path):
     path = str(tmp_path / "c")
     os.makedirs(path)
     pq.write_table(base, os.path.join(path, "p0.parquet"))
-    true_max = max(len(s) for s in base["spans"].to_pylist())
+    counts = sorted(len(s) for s in base["spans"].to_pylist())
+    assert counts[-1] > counts[-2]
+    seen = str(tmp_path / "seen")
 
-    # guard collapses entirely: schema of the guarded stream == input
-    small = with_skew_guard(
-        rd.read_parquet(path), lambda d: d, max_spans=true_max,
-        probe=False, known_max=true_max)
-    assert set(small.schema().names) == {"doc_id", "spans"}
+    def count_rows(t: pa.Table) -> pa.Table:
+        with open(seen, "a") as fh:
+            fh.write(f"{t.num_rows}\n")
+        return t
 
-    def run(known):
-        ds = rd.read_parquet(path, columns=["doc_id", "spans"])
-        out = build_extraction_ds(
-            ds, EngineConfig(oversize_token_threshold=max(10, true_max // 4)),
-            known_max_spans=known)
-        return {r["doc_id"]: (r["n_rows"], r["n_cols"], r["spans"])
+    def run(cfg, **kw):
+        open(seen, "w").close()
+        ds = rd.read_parquet(path, columns=["doc_id", "spans"]).map_batches(
+            count_rows, batch_format="pyarrow")
+        out = build_extraction_ds(ds, cfg, **kw).materialize()
+        with open(seen) as fh:
+            assert sum(int(x) for x in fh) == base.num_rows
+        rows = {r["doc_id"]: (r["n_rows"], r["n_cols"], r["spans"])
                 for r in out.take_all()}
+        return rows, [ln for ln in out.stats().splitlines() if ln.startswith("Operator ")]
 
-    direct = run(None)          # falls back to the probe
-    assert run(true_max) == direct            # > threshold: split path
-    out2 = build_extraction_ds(
-        rd.read_parquet(path, columns=["doc_id", "spans"]),
-        EngineConfig(oversize_token_threshold=true_max),
-        known_max_spans=true_max)             # <= threshold: no guard
-    assert {r["doc_id"]: (r["n_rows"], r["n_cols"], r["spans"])
-            for r in out2.take_all()} == direct
+    direct, _ = run(EngineConfig(skew_guard=False))
+    cfg = EngineConfig(skew_guard=True, oversize_token_threshold=counts[-2])
+    for known in (counts[-1], None):
+        rows, ops = run(cfg, known_max_spans=known)
+        assert rows == direct
+        assert sum("ReadParquet" in op for op in ops) == 1, ops
+        assert not [op for op in ops
+                    if any(w in op for w in ("Sort", "Union", "Aggregate"))], ops
 
 
 def test_generate_corpus_writes_stats(ray_session, tmp_path):
