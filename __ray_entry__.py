@@ -1102,18 +1102,8 @@ def _revenue_by_segment(sf_dir: str):
                 ["o_custkey", "c_mktsegment"]), batch_format="pyarrow"))
     orders = rd.read_parquet(os.path.join(sf_dir, "orders.parquet"),
                              columns=["o_orderkey", "o_custkey"])
-    def rekey(t: pa.Table) -> pa.Table:
-        # the first join's union/pad upcasts o_orderkey (NA-padded on
-        # the customer side); the NEXT hash_join's siphash is
-        # dtype-sensitive, so restore int64 before re-bucketing
-        return pa.table({
-            "o_orderkey": pc.cast(t["o_orderkey"], pa.int64()),
-            "c_mktsegment": t["c_mktsegment"],
-        })
-
     oc = (hash_join(orders, cust, key="o_custkey", num_buckets=16)
-          .select_columns(["o_orderkey", "c_mktsegment"])
-          .map_batches(rekey, batch_format="pyarrow"))
+          .select_columns(["o_orderkey", "c_mktsegment"]))
 
     li = rd.read_parquet(os.path.join(sf_dir, "lineitem.parquet"),
                          columns=["l_orderkey", "l_extendedprice",
@@ -1615,25 +1605,16 @@ def _large_order_customers(sf_dir: str):
     qualified = hash_join(orders, big, key="o_orderkey", num_buckets=16,
                           how="inner")
 
-    def recast(b):
-        # hash_join's pandas union pads can upcast ints; restore the
-        # chained-join key dtype before bucketing on it again
-        b["c_custkey"] = b["o_custkey"].astype("int64")
-        return b[["c_custkey", "o_orderkey", "o_totalprice", "total_qty"]]
-
-    qualified = qualified.map_batches(recast, batch_format="pandas")
+    qualified = qualified.map_batches(lambda t: pa.table({
+        "c_custkey": t["o_custkey"], "o_orderkey": t["o_orderkey"],
+        "o_totalprice": t["o_totalprice"], "total_qty": t["total_qty"]}),
+        batch_format="pyarrow")
     cust = rd.read_parquet(os.path.join(sf_dir, "customer.parquet"),
                            columns=["c_custkey", "c_name"])
     out = hash_join(qualified, cust, key="c_custkey", num_buckets=16,
                     how="inner")
-
-    def project(b):
-        b["o_orderkey"] = b["o_orderkey"].astype("int64")
-        b["total_qty"] = b["total_qty"].astype("int64")
-        return b[["c_custkey", "c_name", "o_orderkey", "o_totalprice",
-                  "total_qty"]]
-
-    return out.map_batches(project, batch_format="pandas")
+    return out.select_columns(["c_custkey", "c_name", "o_orderkey",
+                               "o_totalprice", "total_qty"])
 
 
 def _cheapest_supplier_per_part(sf_dir: str):
@@ -1647,34 +1628,34 @@ def _cheapest_supplier_per_part(sf_dir: str):
     ray.put, zero fact shuffle for the join."""
     import ray.data as rd
     import pandas as pd
+    from ocr_table_extractor_to_csv_ray.functions.agg import (
+        bucket_shuffle, with_buckets)
     from ocr_table_extractor_to_csv_ray.functions.join import broadcast_join
 
     li = rd.read_parquet(os.path.join(sf_dir, "lineitem.parquet"),
                          columns=["l_partkey", "l_suppkey",
                                   "l_extendedprice"])
 
-    def argmin_partial(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.sort_values(["l_partkey", "l_extendedprice", "l_suppkey"],
-                          kind="mergesort")
-        b = b.drop_duplicates("l_partkey", keep="first")
-        h = b["l_partkey"].to_numpy(np.int64).astype(np.uint64)
-        return b.assign(__b=((h * np.uint64(0x9E3779B97F4A7C15))
-                             >> np.uint64(59)).astype(np.int64))
+    def argmin_partial(t: pa.Table) -> pa.Table:
+        b = t.to_pandas().sort_values(
+            ["l_partkey", "l_extendedprice", "l_suppkey"], kind="mergesort")
+        return with_buckets(b.drop_duplicates("l_partkey", keep="first"),
+                            ["l_partkey"], 32)
 
-    def argmin_bucket(g: pd.DataFrame) -> pd.DataFrame:
+    def argmin_bucket(t: pa.Table) -> pd.DataFrame:
         # whole-bucket vectorized argmin (one frame per PART would be
         # O(n_parts) Python; functions/agg.py documents the pathology)
-        g = g.sort_values(["l_partkey", "l_extendedprice", "l_suppkey"],
-                          kind="mergesort")
+        g = t.to_pandas().sort_values(
+            ["l_partkey", "l_extendedprice", "l_suppkey"], kind="mergesort")
         g = g.drop_duplicates("l_partkey", keep="first")
         return pd.DataFrame({
             "l_partkey": g["l_partkey"].astype("int64").to_numpy(),
             "l_suppkey": g["l_suppkey"].astype("int64").to_numpy(),
             "best_price": g["l_extendedprice"].to_numpy()})
 
-    best = (li.map_batches(argmin_partial, batch_format="pandas")
-            .groupby("__b")
-            .map_groups(argmin_bucket, batch_format="pandas"))
+    best = bucket_shuffle(li.map_batches(argmin_partial,
+                                         batch_format="pyarrow"),
+                          argmin_bucket)
 
     sup = pd.read_parquet(os.path.join(sf_dir, "supplier.parquet"),
                           columns=["s_suppkey", "s_name"])
@@ -1700,7 +1681,8 @@ def _doc_token_commonness(sf_dir: str):
     text), the shape a perplexity-bucket filter runs at scale."""
     import pandas as pd
     import pyarrow.compute as pc
-    from ocr_table_extractor_to_csv_ray.functions.agg import grouped_sum
+    from ocr_table_extractor_to_csv_ray.functions.agg import (
+        bucket_shuffle, grouped_sum, with_buckets)
 
     docs = _docs(sf_dir, ["doc_id", "text"])
     num_buckets = 16
@@ -1719,23 +1701,21 @@ def _doc_token_commonness(sf_dir: str):
         g = (pa.table({"doc_id": doc, "token": toks.flatten()})
              .group_by(["doc_id", "token"])
              .aggregate([("token", "count")]))
-        h = pd.util.hash_pandas_object(
-            g["token"].to_pandas(), index=False).to_numpy()
-        return pa.table({
+        # bucket is a function of TOKEN ONLY so every instance of a
+        # token lands in the same bucket and the corpus frequency is
+        # computable there without a separate counting pass
+        return with_buckets(pa.table({
             "doc_id": g["doc_id"],
             "token": g["token"],
             "c": pc.cast(g["token_count"], pa.int64()),
-            # bucket is a function of TOKEN ONLY so every instance of a
-            # token lands in the same bucket and the corpus frequency
-            # is computable there without a separate counting pass
-            "__b": pa.array((h % np.uint64(num_buckets)).astype(np.int64)),
-        })
+        }), ["token"], num_buckets)
 
-    def per_bucket(g: pd.DataFrame) -> pa.Table:
+    def per_bucket(t: pa.Table) -> pa.Table:
         # corpus freq of each token = sum of its pair counts across the
         # bucket (the bucket holds ALL of the token's instances), fused
         # with the join the two-pass plan needed: commonness partial =
         # c × freq, then one vectorized per-doc shrink
+        g = t.to_pandas()
         freq = g.groupby("token")["c"].transform("sum").to_numpy()
         cm = g["c"].to_numpy() * freq
         out = (pd.DataFrame({"doc_id": g["doc_id"].to_numpy(),
@@ -1747,9 +1727,8 @@ def _doc_token_commonness(sf_dir: str):
             "commonness": pa.array(out["commonness"].astype("int64")),
             "n_tokens": pa.array(out["n_tokens"].astype("int64"))})
 
-    partials = (docs.map_batches(pair_counts, batch_format="pyarrow")
-                .groupby("__b")
-                .map_groups(per_bucket, batch_format="pandas"))
+    partials = bucket_shuffle(
+        docs.map_batches(pair_counts, batch_format="pyarrow"), per_bucket)
     return grouped_sum(partials, "doc_id", ["commonness", "n_tokens"],
                        num_buckets=16)
 
@@ -1926,7 +1905,8 @@ def _sole_supplier_orders(sf_dir: str):
     shuffles twice."""
     import ray.data as rd
     import pandas as pd
-    from ocr_table_extractor_to_csv_ray.functions.agg import grouped_agg
+    from ocr_table_extractor_to_csv_ray.functions.agg import (
+        bucket_shuffle, grouped_agg, with_buckets)
     from ocr_table_extractor_to_csv_ray.functions.join import broadcast_join
 
     li = rd.read_parquet(os.path.join(sf_dir, "lineitem.parquet"),
@@ -1935,22 +1915,19 @@ def _sole_supplier_orders(sf_dir: str):
     def pair_dedup(t: pa.Table) -> pa.Table:
         t = t.group_by(["l_orderkey", "l_suppkey"]).aggregate(
             []).select(["l_orderkey", "l_suppkey"])
-        h = t["l_orderkey"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        return t.append_column(
-            "__b", pa.array(((h * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(59)
-                             ).astype(np.int64)))
+        return with_buckets(t, ["l_orderkey"], 32)
 
-    def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
+    def per_bucket(t: pa.Table) -> pd.DataFrame:
         # per-batch dedup is partial; finish it inside the bucket, then
         # one C groupby finds single-supplier orders
-        g = g.drop_duplicates(["l_orderkey", "l_suppkey"])
+        g = t.to_pandas().drop_duplicates(["l_orderkey", "l_suppkey"])
         c = g.groupby("l_orderkey", as_index=False).agg(
             n=("l_suppkey", "size"), s=("l_suppkey", "first"))
         return pd.DataFrame({"s_suppkey": c.loc[c["n"] == 1, "s"]
                              .astype("int64").to_numpy()})
 
-    sole = (li.map_batches(pair_dedup, batch_format="pyarrow")
-            .groupby("__b").map_groups(per_bucket, batch_format="pandas"))
+    sole = bucket_shuffle(li.map_batches(pair_dedup, batch_format="pyarrow"),
+                          per_bucket)
 
     counts = grouped_agg(sole, "s_suppkey", {}, num_buckets=16,
                          count="n_sole_orders")
@@ -2006,7 +1983,7 @@ def _customer_order_counts(sf_dir: str):
                        how="left")
 
     def hist_partial(b) -> pa.Table:
-        # unmatched customers carry NA n (float-upcast by the join pad);
+        # unmatched customers carry a null n (NaN once in pandas);
         # fill 0 and restore int64 before binning
         n = b["n"].fillna(0).astype("int64")
         vc = n.value_counts()
@@ -2026,7 +2003,6 @@ def _customers_without_orders(sf_dir: str):
     does a vectorized isin probe — a left row can never be duplicated,
     unlike a left-join-then-filter plan."""
     import ray.data as rd
-    import pyarrow.compute as pc
     import pyarrow.dataset as pds
     from ocr_table_extractor_to_csv_ray.functions.join import hash_semi_join
 
@@ -2039,14 +2015,7 @@ def _customers_without_orders(sf_dir: str):
     okeys = okeys.map_batches(
         lambda t: pa.table({"c_custkey": t["o_custkey"]}),
         batch_format="pyarrow")
-    out = hash_semi_join(cust, okeys, key="c_custkey", anti=True)
-    # the union/pad upcasts c_custkey (NA-padded on the right side);
-    # restore the input dtype contract
-    return out.map_batches(
-        lambda t: pa.table({
-            "c_custkey": pc.cast(t["c_custkey"], pa.int64()),
-            "c_mktsegment": pc.cast(t["c_mktsegment"], pa.string()),
-        }), batch_format="pyarrow")
+    return hash_semi_join(cust, okeys, key="c_custkey", anti=True)
 
 
 def _events_latest_state(sf_dir: str):
@@ -2759,33 +2728,16 @@ def _nation_trade_matrix(sf_dir: str):
 
         decorated = j1.map_batches(decorate_cust, batch_format="pyarrow")
     else:
-        def rekey(t: pa.Table) -> pa.Table:
-            # the first join's union/pad upcasts — restore int64 before
-            # the second join re-buckets on o_custkey (dtype-sensitive
-            # siphash)
-            return pa.table({
-                "o_custkey": pc.cast(t["o_custkey"], pa.int64()),
-                "supp_nat": pc.cast(t["supp_nat"], pa.int64()),
-                "cents": pc.cast(t["cents"], pa.int64()),
-            })
-
         cust = (rd.read_parquet(cust_path,
                                 columns=["c_custkey", "c_nationkey"])
                 .map_batches(lambda t: pa.table({
                     "o_custkey": t["c_custkey"],
                     "cust_nat": pc.cast(t["c_nationkey"], pa.int64())}),
                     batch_format="pyarrow"))
-        j2 = hash_join(j1.map_batches(rekey, batch_format="pyarrow"),
-                       cust, key="o_custkey", num_buckets=16)
-
-        def pair_partial(t: pa.Table) -> pa.Table:
-            return pa.table({
-                "cust_nat": pc.cast(t["cust_nat"], pa.int64()),
-                "supp_nat": pc.cast(t["supp_nat"], pa.int64()),
-                "cents": pc.cast(t["cents"], pa.int64()),
-            })
-
-        decorated = j2.map_batches(pair_partial, batch_format="pyarrow")
+        decorated = hash_join(
+            j1.select_columns(["o_custkey", "supp_nat", "cents"]), cust,
+            key="o_custkey", num_buckets=16,
+        ).select_columns(["cust_nat", "supp_nat", "cents"])
 
     matrix = grouped_sum(decorated, ["cust_nat", "supp_nat"],
                          {"cents": "revenue_cents"}, num_buckets=8)

@@ -1,5 +1,6 @@
-"""Bucketed vectorized grouped aggregation — the high-cardinality
-replacement for ``Dataset.groupby().aggregate()``.
+"""The one key→bucket shuffle, and the bucketed grouped aggregate on
+top of it — the high-cardinality replacement for
+``Dataset.groupby().aggregate()``.
 
 WHY THIS EXISTS (measured, Ray 2.49.2, 32 CPUs):
 
@@ -13,37 +14,103 @@ and ~100 µs on pandas blocks, so:
   blocks: **5.1 s** (~24×).
 - ONE empty pandas block unioned into an all-Arrow 1.2M-row input:
   **9.9 s → 118.9 s** — the reduce normalizes every pre-aggregated
-  block to the detected batch format (``aggregate_task_spec.py:81``),
-  and the shuffle itself emits schema-less empty PANDAS blocks for
-  empty partitions, which map UDFs cannot repair because all-empty
-  task inputs BYPASS the UDF (``plan_udf_map_op.py:452``). Any
-  pipeline with a ``groupby().map_groups`` stage (joins, windows)
-  upstream of an aggregate is therefore stuck on the slow path no
-  matter what its own UDFs return.
+  block to the detected batch format (``aggregate_task_spec.py:81``).
 
-This operator replaces the row loop entirely with the repo's bucket
-idiom: per-batch vectorized pandas partial → ONE shuffle on
-``hash(key) % num_buckets`` (≤ ``num_buckets`` groups, so the sort
-machinery touches blocks, not rows) → vectorized pandas aggregation
-per bucket. Measured on the triangle query's 3M-pair projection at
-sf0.1: 156 s (sort-aggregate, Arrow partials) → ~8 s.
+A ``groupby(key).map_groups`` has the same shape: one UDF call per
+distinct key. Every keyed operator here therefore shuffles on a hash
+BUCKET of the key instead — ≤ ``num_buckets`` Ray-level groups, so the
+sort machinery touches blocks, not rows — and resolves the keys inside
+each bucket with one vectorized pass. The step is written once:
 
-Scale shape: the partial shrink bounds shuffle volume by the number of
-DISTINCT keys per batch (not batch rows); one bucket (~1/B of the key
-space) must fit a worker's heap — the same contract as
-:func:`ocr_table_extractor_to_csv_ray.functions.join.hash_join`.
+- :func:`key_buckets` — the one hash: ``hash_pandas_object`` (fixed
+  siphash key, deterministic across processes) over the key columns,
+  with integers widened to int64 and floats to float64 first so both
+  sides of a join bucket a key alike whatever width each side stores.
+- :func:`bucket_shuffle` — ``groupby("__b").map_groups`` in ``pyarrow``
+  format; the UDF sees the bucket without ``__b`` and every output
+  block is an Arrow table with no schema metadata (``from_pandas``
+  metadata makes schemas unhashable in Ray's ``unify_schemas``).
+
+The map that appends ``__b`` runs in ``pyarrow`` format too. Ray fuses
+it into the shuffle and the reduce converts every block to that map's
+batch format: behind a ``pandas``-format map a bucket arrives as a
+pandas frame (int64 columns with nulls turn float64) and empty
+partitions come out as pandas blocks.
+
+Users: :func:`grouped_agg`, ``join.hash_join`` / ``join.hash_semi_join``,
+``compact.latest_wins``, ``dedup.duplicate_line_removal`` and the
+catalog's hand-rolled bucket queries. ``pipelines/extract.add_part_id_batch``
+keeps its own hash: it defines on-disk ``part_id`` values.
+
+What the engine cannot control: Ray's sort shuffle emits schema-less
+empty blocks for empty partitions and bypasses the UDF for them
+(``plan_udf_map_op.py:452``), so no typed empty table can stand in.
+
+Scale shape: one bucket (~1/B of the key space) must fit a worker's
+heap.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 
 _AGG_FUNCS = ("sum", "min", "max")
+
+Frame = Union[pa.Table, pd.DataFrame]
+
+
+def to_arrow(frame: Frame) -> pa.Table:
+    """Arrow table without schema metadata (pandas frames converted
+    without their index)."""
+    if isinstance(frame, pd.DataFrame):
+        frame = pa.Table.from_pandas(frame, preserve_index=False)
+    return frame.replace_schema_metadata(None)
+
+
+def key_buckets(table: pa.Table, keys: Sequence[str],
+                num_buckets: int) -> np.ndarray:
+    """int64 bucket id in ``[0, num_buckets)`` per row of ``table``,
+    a function of the ``keys`` values alone.
+
+    Null integer keys hash as 0 (filling keeps the column int64; a
+    float64 NaN column would hash every key differently); whether nulls
+    match is the caller's rule, they only need one bucket."""
+    cols = {}
+    for k in keys:
+        a = table[k]
+        if pa.types.is_dictionary(a.type):
+            a = a.cast(a.type.value_type)
+        if pa.types.is_integer(a.type) or pa.types.is_boolean(a.type):
+            a = pc.fill_null(a.cast(pa.int64()), 0)
+        elif pa.types.is_floating(a.type):
+            a = a.cast(pa.float64())
+        cols[k] = a.to_numpy(zero_copy_only=False)
+    h = pd.util.hash_pandas_object(pd.DataFrame(cols), index=False)
+    return (h.to_numpy() % np.uint64(num_buckets)).astype(np.int64)
+
+
+def with_buckets(frame: Frame, keys: Sequence[str],
+                 num_buckets: int) -> pa.Table:
+    """``frame`` as Arrow with the ``__b`` column :func:`bucket_shuffle`
+    groups on."""
+    t = to_arrow(frame)
+    return t.append_column("__b", pa.array(key_buckets(t, keys,
+                                                       num_buckets)))
+
+
+def bucket_shuffle(ds, fn: Callable[[pa.Table], Frame]):
+    """One shuffle on ``__b``; ``fn`` maps each bucket (an Arrow table
+    without ``__b``) to an Arrow table or pandas frame."""
+    def per_bucket(t: pa.Table) -> pa.Table:
+        return to_arrow(fn(t.drop_columns(["__b"])))
+
+    return ds.groupby("__b").map_groups(per_bucket, batch_format="pyarrow")
 
 
 def grouped_agg(ds, keys: Union[str, Sequence[str]],
@@ -57,18 +124,12 @@ def grouped_agg(ds, keys: Union[str, Sequence[str]],
     Associative only (mean = sum/count at the call site).
 
     Two-level: per-batch pandas partial (C groupby) shrinks each batch
-    to its distinct keys; the single shuffle groups by a bucket hash of
-    the key (≤ ``num_buckets`` Ray-level groups); each bucket re-runs
-    the same vectorized aggregation (sum-of-sums, min-of-mins, ...).
+    to its distinct keys; one :func:`bucket_shuffle`; each bucket
+    re-runs the same aggregation (sum-of-sums, min-of-mins, ...).
     Output blocks are Arrow; dtypes follow pandas aggregation rules
-    (int64 sums stay int64).
-
-    NOTE: like every ``groupby().map_groups`` stage, empty buckets emit
-    Ray's schema-less empty pandas blocks — if you chain the OUTPUT of
-    this into ``Dataset.groupby().aggregate()``, that aggregate takes
-    the slow pandas reduce path. Chain into another :func:`grouped_agg`
-    (or a map_groups) instead, or keep ``num_buckets`` ≤ the expected
-    distinct-key count so no bucket is empty.
+    (int64 sums stay int64). Both levels stay in pandas on purpose:
+    pandas float sums are Kahan-compensated and Arrow's ``hash_sum`` is
+    not, so an Arrow ``group_by`` drifts from exact float results.
     """
     key_cols: List[str] = [keys] if isinstance(keys, str) else list(keys)
     for out_col, (in_col, fn) in aggs.items():
@@ -89,33 +150,19 @@ def grouped_agg(ds, keys: Union[str, Sequence[str]],
     if count is not None:
         final_spec[count] = (count, "sum")
 
-    def partial(b: pd.DataFrame):
+    def agg(b: pd.DataFrame, spec) -> pd.DataFrame:
         g = b.groupby(key_cols, as_index=False, sort=False,
-                      dropna=False).agg(**partial_spec)
+                      dropna=False).agg(**spec)
         if count is not None:
             g[count] = g[count].astype("int64")
-        h = pd.util.hash_pandas_object(g[key_cols], index=False).to_numpy()
-        g["__b"] = (h % np.uint64(num_buckets)).astype(np.int64)
-        try:
-            return pa.Table.from_pandas(g, preserve_index=False)
-        except (pa.ArrowInvalid, pa.ArrowTypeError,
-                pa.ArrowNotImplementedError):
-            return g
+        return g
 
-    def per_bucket(g: pd.DataFrame):
-        out = (g.drop(columns="__b")
-               .groupby(key_cols, as_index=False, sort=False, dropna=False)
-               .agg(**final_spec))
-        if count is not None:
-            out[count] = out[count].astype("int64")
-        try:
-            return pa.Table.from_pandas(out, preserve_index=False)
-        except (pa.ArrowInvalid, pa.ArrowTypeError,
-                pa.ArrowNotImplementedError):
-            return out
+    def partial(t: pa.Table) -> pa.Table:
+        return with_buckets(agg(t.to_pandas(), partial_spec), key_cols,
+                            num_buckets)
 
-    return (ds.map_batches(partial, batch_format="pandas")
-            .groupby("__b").map_groups(per_bucket, batch_format="pandas"))
+    return bucket_shuffle(ds.map_batches(partial, batch_format="pyarrow"),
+                          lambda t: agg(t.to_pandas(), final_spec))
 
 
 def grouped_sum(ds, keys: Union[str, Sequence[str]],

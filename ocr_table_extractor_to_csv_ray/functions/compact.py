@@ -25,8 +25,10 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
-import numpy as np
 import pandas as pd
+import pyarrow as pa
+
+from .agg import bucket_shuffle, with_buckets
 
 
 def _pick_latest(df: pd.DataFrame, keys: List[str], order_by: str,
@@ -46,25 +48,21 @@ def latest_wins(ds, keys: Sequence[str], order_by: str, tiebreak: str):
     largest ``(order_by, tiebreak)``.
 
     Two-level: per-batch partial pick (local shrink, no shuffle) →
-    one hash-bucket ``groupby`` over the survivors → vectorized final
+    one ``agg.bucket_shuffle`` over the survivors → vectorized final
     pick per bucket (``_pick_latest`` already resolves every key inside
     a frame, so grouping Ray-side by key-hash bucket rather than by key
     gives identical rows without one Python frame per key — see
     functions/agg.py for the per-group cost this avoids). Output
-    schema == input schema.
+    columns == input columns; output blocks are Arrow.
     """
     keys = list(keys)
     num_buckets = 64
 
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        b = _pick_latest(b, keys, order_by, tiebreak)
-        h = pd.util.hash_pandas_object(b[keys], index=False).to_numpy()
-        return b.assign(__b=(h % np.uint64(num_buckets)).astype(np.int64))
+    def pick(t: pa.Table) -> pd.DataFrame:
+        return _pick_latest(t.to_pandas(), keys, order_by, tiebreak)
 
-    def final(g: pd.DataFrame) -> pd.DataFrame:
-        return _pick_latest(g.drop(columns="__b"), keys, order_by,
-                            tiebreak)
+    def partial(t: pa.Table) -> pa.Table:
+        return with_buckets(pick(t), keys, num_buckets)
 
-    return (ds.map_batches(partial, batch_format="pandas")
-              .groupby("__b")
-              .map_groups(final, batch_format="pandas"))
+    return bucket_shuffle(ds.map_batches(partial, batch_format="pyarrow"),
+                          pick)

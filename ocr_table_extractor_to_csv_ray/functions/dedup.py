@@ -20,6 +20,13 @@ Shuffle discipline (the point at 100 TB):
 - **embedding near-dup**: random-hyperplane LSH buckets per batch →
   within-bucket pairwise cosine ≥ τ inside the bucket task (vectors
   never visit the driver).
+- **duplicate lines**: line instances, then documents, group on
+  ``agg.key_buckets`` hash buckets through ``agg.bucket_shuffle`` — one
+  task per bucket, not one Python frame per line or document.
+
+A duplicate-key set too large to broadcast is applied with the Arrow
+``join.hash_semi_join``; signature and vector list columns cross that
+shuffle as they are.
 
 Oversized buckets (≥ ``star_cap`` members — e.g. 10k copies of one
 page) are paired as a STAR to the bucket's min id instead of all-pairs:
@@ -54,6 +61,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .agg import bucket_shuffle, grouped_agg, with_buckets
 from .textstats import shingle_hashes
 
 # ---------------------------------------------------------------------------
@@ -79,8 +87,6 @@ def exact_dedup(ds, id_column: str = "doc_id", column: str = "text"):
     sha1 collisions are treated as equality (2^-80 at any real scale).
     """
     import functools
-
-    from .agg import grouped_agg
 
     hashed = ds.select_columns([id_column, column]).map_batches(
         functools.partial(content_hash_batch, column=column),
@@ -288,52 +294,13 @@ def _dup_keys_ref(banded, key_cols: Sequence[str],
     return ("ref", ray.put(pa.array(dup["__bkey"].to_numpy(), pa.int64())))
 
 
-def _pack_list_col(col, value_type) -> pa.Array:
-    """list<primitive> → binary, zero Python-per-row: byte offsets are
-    the cumulative element lengths × width, data is the flattened
-    values buffer. Nulls are rejected loudly (signatures/vectors are
-    never null in these pipelines)."""
-    arr = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
-    if arr.null_count:
-        raise ValueError("_pack_list_col: null list entries unsupported")
-    if pa.types.is_fixed_size_list(arr.type):
-        arr = arr.cast(pa.list_(value_type))
-    width = value_type.bit_width // 8
-    lens = pc.list_value_length(arr).to_numpy(zero_copy_only=False)
-    off = np.zeros(len(arr) + 1, np.int32)
-    np.cumsum(lens * width, out=off[1:])
-    data = arr.flatten().to_numpy(zero_copy_only=False).tobytes()
-    return pa.Array.from_buffers(
-        pa.binary(), len(arr),
-        [None, pa.py_buffer(off.tobytes()), pa.py_buffer(data)])
-
-
-def _unpack_binary_col(col, value_type) -> pa.Array:
-    """Inverse of ``_pack_list_col`` — vectorized: slices the binary
-    array's own contiguous data/offset buffers, no per-row Python."""
-    b = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
-    np_dtype = np.dtype(value_type.to_pandas_dtype())
-    width = np_dtype.itemsize
-    n = len(b)
-    if n == 0:
-        return pa.array([], pa.list_(value_type))
-    raw_off = np.frombuffer(b.buffers()[1], np.int32)[b.offset:b.offset + n + 1]
-    data = np.frombuffer(b.buffers()[2], np.uint8)[raw_off[0]:raw_off[-1]]
-    values = np.frombuffer(data.tobytes(), np_dtype)
-    off = ((raw_off - raw_off[0]) // width).astype(np.int32)
-    return pa.ListArray.from_arrays(pa.array(off, pa.int32()),
-                                    pa.array(values, value_type))
-
-
 def _filter_dup_rows(banded, key_cols: Sequence[str], keys):
     """Keep rows whose fused bucket key is in the duplicate-key set:
     vectorized broadcast ``pc.is_in`` for a collected key set
     (``("ref", …)``), partitioned ``hash_semi_join`` for a distributed
     one (``("ds", …)`` — nothing key-proportional visits the driver).
-    The semi-join path rides a pandas shuffle, which cannot carry
-    list-typed payloads (signatures/vectors) — those are packed to
-    binary before the join and unpacked after, both zero-copy-ish
-    vectorized buffer splices."""
+    The semi-join shuffles Arrow, so signature and vector list columns
+    cross it as they are."""
     import functools
     import ray
 
@@ -341,32 +308,11 @@ def _filter_dup_rows(banded, key_cols: Sequence[str], keys):
     if kind == "ds":
         from .join import hash_semi_join
 
-        sch = banded.schema(fetch_if_missing=True)
-        list_cols = {
-            n: t.value_type for n, t in zip(sch.names, sch.types)
-            if (pa.types.is_list(t) or pa.types.is_large_list(t)
-                or pa.types.is_fixed_size_list(t))}
-
-        def fuse_pack(t: pa.Table) -> pa.Table:
-            t = _fused_batch(t, key_cols)
-            for c, vt in list_cols.items():
-                t = t.set_column(t.schema.get_field_index(c), c,
-                                 _pack_list_col(t[c], vt))
-            return t
-
-        out = hash_semi_join(
-            banded.map_batches(fuse_pack, batch_format="pyarrow"),
+        return hash_semi_join(
+            banded.map_batches(functools.partial(_fused_batch,
+                                                 key_cols=key_cols),
+                               batch_format="pyarrow"),
             val, key="__bkey")
-        if not list_cols:
-            return out
-
-        def unpack(t: pa.Table) -> pa.Table:
-            for c, vt in list_cols.items():
-                t = t.set_column(t.schema.get_field_index(c), c,
-                                 _unpack_binary_col(t[c], vt))
-            return t
-
-        return out.map_batches(unpack, batch_format="pyarrow")
 
     def _f(t: pa.Table) -> pa.Table:
         t = _fused_batch(t, key_cols)
@@ -883,8 +829,6 @@ def duplicate_line_removal(ds, id_column: str = "doc_id",
     if hot_cap is not None:
         import ray
 
-        from .agg import grouped_agg
-
         def _count_partial(t: pa.Table) -> pa.Table:
             g = t.group_by("lhash").aggregate([("lhash", "count")])
             return pa.table({"lhash": g["lhash"],
@@ -945,44 +889,29 @@ def duplicate_line_removal(ds, id_column: str = "doc_id",
     # (lhash, line), which is row-equal to the per-lhash rule.
     FLAG_BUCKETS = 64
 
-    def _tag_flag_bucket(t: pa.Table) -> pa.Table:
-        h = t["lhash"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        return t.append_column(
-            "__b", pa.array((h % FLAG_BUCKETS).astype(np.int64)))
-
-    def _flag_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["lhash", id_column, "idx"], kind="mergesort")
+    def _flag_bucket(t: pa.Table) -> pd.DataFrame:
+        g = t.to_pandas().sort_values(["lhash", id_column, "idx"],
+                                      kind="mergesort")
         g = g.assign(keep=~g.duplicated(["lhash", "line"], keep="first"))
         return g[[id_column, "idx", "line", "keep"]]
 
-    long_flagged = (cold_inst
-                    .map_batches(_tag_flag_bucket, batch_format="pyarrow")
-                    .groupby("__b")
-                    .map_groups(_flag_bucket, batch_format="pandas"))
+    long_flagged = bucket_shuffle(
+        cold_inst.map_batches(with_buckets, fn_args=(["lhash"],
+                                                     FLAG_BUCKETS),
+                              batch_format="pyarrow"),
+        _flag_bucket)
     if hot_ref is not None:
-        hot_flagged = (long_inst.map_batches(_route(True),
-                                             batch_format="pyarrow")
-                       .map_batches(lambda df: df, batch_format="pandas"))
-        long_flagged = long_flagged.union(hot_flagged)
-    # union() requires both branches to carry the same block type; the
-    # flagged branch comes out of a pandas map_groups, so normalize the
-    # bypass branch to pandas blocks too.
-    short_kept = inst.map_batches(_split(False), batch_format="pyarrow") \
-                     .map_batches(lambda df: df, batch_format="pandas")
+        long_flagged = long_flagged.union(
+            long_inst.map_batches(_route(True), batch_format="pyarrow"))
+    short_kept = inst.map_batches(_split(False), batch_format="pyarrow")
 
     # Same bucket trick for reassembly (one UDF frame per doc would be
     # O(n_docs) Python): group = doc-id hash bucket, docs rebuilt with
     # one sorted pass + two C groupbys per bucket.
     REBUILD_BUCKETS = 64
 
-    def _tag_doc_bucket(b: pd.DataFrame) -> pd.DataFrame:
-        h = pd.util.hash_pandas_object(b[id_column], index=False).to_numpy()
-        b = b.copy()
-        b["__b"] = (h % np.uint64(REBUILD_BUCKETS)).astype(np.int64)
-        return b
-
-    def _rebuild_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values([id_column, "idx"], kind="mergesort")
+    def _rebuild_bucket(t: pa.Table) -> pd.DataFrame:
+        g = t.to_pandas().sort_values([id_column, "idx"], kind="mergesort")
         stats = g.groupby(id_column, as_index=False, sort=True).agg(
             n_lines=("keep", "size"), n_kept=("keep", "sum"))
         kept = g[g["keep"]]
@@ -995,7 +924,8 @@ def duplicate_line_removal(ds, id_column: str = "doc_id",
                             - out["n_kept"].astype("int64"))
         return out[[id_column, "text_clean", "n_lines", "n_dropped"]]
 
-    return (long_flagged.union(short_kept)
-            .map_batches(_tag_doc_bucket, batch_format="pandas")
-            .groupby("__b")
-            .map_groups(_rebuild_bucket, batch_format="pandas"))
+    return bucket_shuffle(
+        long_flagged.union(short_kept).map_batches(
+            with_buckets, fn_args=([id_column], REBUILD_BUCKETS),
+            batch_format="pyarrow"),
+        _rebuild_bucket)

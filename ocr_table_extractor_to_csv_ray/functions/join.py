@@ -3,8 +3,13 @@
 The reference has no distributed joins (SURVEY.md §2.5) — these are the
 engine-level operators a corpus pipeline needs around it:
 
+- :func:`hash_join` / :func:`hash_semi_join` — partitioned joins of two
+  large datasets over Arrow: each side is padded to one union schema
+  with typed nulls, bucketed by ``agg.key_buckets`` and shuffled ONCE
+  by ``agg.bucket_shuffle``; each bucket joins with Arrow. NULL keys
+  never match (SQL semantics).
 - :func:`broadcast_join` — small side broadcast ONCE via ``ray.put``,
-  vectorized hash lookup per batch. No shuffle; the pattern for every
+  Arrow join per batch. No shuffle; the pattern for every
   dimension/metadata enrichment (J2's image↔hocr stem pairing is the
   same join with ``key = stem``).
 - :func:`sessionize` — event-time session windows per key: partition by
@@ -13,6 +18,10 @@ engine-level operators a corpus pipeline needs around it:
   group and sort in memory) is the documented partitioning contract.
 - :func:`pair_by_stem` — the reference's dataset-CLI discovery join
   (``dataset_cli.py:39-67``): filename-stem equijoin, first match wins.
+
+Every join speaks the pandas ``how`` vocabulary and keeps the pandas
+``merge`` column order: left columns, then the right side's non-key
+columns, suffixed where they collide with a left column.
 """
 
 from __future__ import annotations
@@ -23,134 +32,103 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
+
+from .agg import bucket_shuffle, key_buckets, to_arrow
+
+_HOW = {"inner": "inner", "left": "left outer", "right": "right outer",
+        "outer": "full outer"}
 
 
-def _arrow_target_types(*schemas) -> Dict[str, "pa.DataType"]:
-    """col → Arrow type from Ray schemas (first schema wins per column).
-
-    Ray schemas carry Arrow types (Arrow blocks) or numpy dtypes (pandas
-    blocks); numpy ``object`` is assumed to hold strings — the only
-    object payload this repo's joins carry. Columns that can't be
-    mapped are simply absent (left to runtime inference)."""
-    out: Dict[str, pa.DataType] = {}
-    for sch in schemas:
-        if sch is None:
-            continue
-        for c, t in zip(sch.names, sch.types):
-            if c in out:
-                continue
-            if isinstance(t, pa.DataType):
-                out[c] = t
-            else:
-                try:
-                    dt = np.dtype(t)
-                    out[c] = (pa.string() if dt == np.dtype("O")
-                              else pa.from_numpy_dtype(dt))
-                except (TypeError, pa.ArrowNotImplementedError):
-                    pass
-    return out
+def _arrow_types(sch) -> Dict[str, pa.DataType]:
+    """col → Arrow type of a Ray schema. Ray reports pandas ``object``
+    columns as ``object``; the joins here carry strings in them."""
+    return {c: t if isinstance(t, pa.DataType) else pa.string()
+            for c, t in zip(sch.names, sch.types)}
 
 
-def _frame_to_arrow(b: pd.DataFrame, target: Dict[str, "pa.DataType"]):
-    """pandas frame → Arrow table with schema-stable column types.
+def _check_key_types(op: str, key: str, lt, rt) -> None:
+    """Refuse keys of different type classes (int vs float vs string):
+    they bucket — and compare — differently, so matches would vanish
+    silently. Widths within a class are cast to the left's type."""
+    def cls(t) -> str:
+        if pa.types.is_boolean(t):
+            return "bool"
+        if pa.types.is_integer(t):
+            return "int"
+        if pa.types.is_floating(t) or pa.types.is_decimal(t):
+            return "float"
+        if pa.types.is_string(t) or pa.types.is_large_string(t):
+            return "str"
+        return str(t)
 
-    WHY Arrow and not pandas output blocks: Ray 2.49's sort-based
-    ``groupby().aggregate()`` combine is ~24× slower on pandas blocks
-    than Arrow blocks (measured 119.6 s vs 5.1 s on an identical
-    3M-row input), and map operators BYPASS the UDF for all-empty task
-    inputs, re-emitting an empty block of the INPUT's format — so one
-    empty pandas block from an empty join bucket poisons every
-    downstream aggregate (measured 9.9 s → 118.9 s from a single empty
-    block). Producing Arrow blocks here, including for the NA-padded
-    union columns (typed nulls, so both tagged sides carry one schema),
-    keeps the whole downstream plan on the fast path.
-
-    Falls back to returning the pandas frame unchanged when a column
-    can't be represented (exotic object payloads) — correct but slow,
-    and only for batches that actually carry such a column."""
-    _ERRS = (pa.ArrowInvalid, pa.ArrowTypeError, pa.ArrowNotImplementedError,
-             ValueError, TypeError)
-    try:
-        cols = {}
-        for c in b.columns:
-            s = b[c]
-            at = target.get(c)
-            if at is not None and s.dtype == object and (
-                    len(s) == 0 or s.isna().all()):
-                # NA-padded union column: typed nulls, not type null
-                cols[c] = pa.nulls(len(s), at)
-                continue
-            if at is not None:
-                try:
-                    cols[c] = pa.Array.from_pandas(s, type=at)
-                    continue
-                except _ERRS:
-                    pass                # fall through to inference
-            cols[c] = pa.Array.from_pandas(s)
-        return pa.table(cols)
-    except _ERRS:
-        return b
+    if lt is not None and rt is not None and cls(lt) != cls(rt):
+        raise ValueError(
+            f"{op} key dtype mismatch on {key!r}: left={lt}, right={rt} "
+            "— cast both sides to one dtype before joining")
 
 
-def _np_restore_dtypes(sch) -> Dict[str, np.dtype]:
-    """col → numpy dtype for re-casting a to_pandas'd Arrow block back to
-    its input dtypes (Arrow int64-with-nulls converts to float64; the
-    nulls live only in the OTHER side's padded rows, so the cast back is
-    exact)."""
-    def _np_dtype(t):
-        try:
-            return np.dtype(t)
-        except TypeError:
-            try:
-                return np.dtype(t.to_pandas_dtype())
-            except (TypeError, NotImplementedError):
-                return None
-
-    return {c: d for c, d in
-            ((c, _np_dtype(t)) for c, t in zip(sch.names, sch.types))
-            if d is not None and d != np.dtype("O")}
+def _join_tables(l: pa.Table, r: pa.Table, key: str, how: str) -> pa.Table:
+    """pandas-``merge``-shaped Arrow join (``r`` already suffixed; keys
+    of one type). Joins row numbers and takes the payload, so columns
+    of any type ride along — Acero refuses list, struct and null-typed
+    payload columns."""
+    ij = pa.table({key: l[key], "__li": np.arange(l.num_rows)}).join(
+        pa.table({key: r[key], "__ri": np.arange(r.num_rows)}),
+        keys=key, join_type=_HOW[how], coalesce_keys=True)
+    cols = {c: ij[key] if c == key else l[c].take(ij["__li"])
+            for c in l.column_names}
+    cols.update({c: r[c].take(ij["__ri"]) for c in r.column_names
+                 if c != key})
+    return pa.table(cols)
 
 
-def _restore(df: pd.DataFrame, dtypes: Dict[str, np.dtype]) -> pd.DataFrame:
-    for c, d in dtypes.items():
-        if c in df.columns and df[c].dtype != d:
-            try:
-                df = df.assign(**{c: df[c].astype(d)})
-            except (ValueError, TypeError):
-                pass                    # genuine NAs in this column: keep
-    return df
+def _pad(t: pa.Table, types: Dict[str, pa.DataType], right: bool
+         ) -> pa.Table:
+    """``t`` in the union schema ``types`` — typed nulls for the other
+    side's columns — tagged with its side in ``__r``."""
+    n = t.num_rows
+    cols = {c: t[c].cast(typ) if c in t.column_names else pa.nulls(n, typ)
+            for c, typ in types.items()}
+    cols["__r"] = pa.array(np.full(n, right))
+    return pa.table(cols)
+
+
+def _sides(g: pa.Table) -> Tuple[pa.Table, pa.Table]:
+    """A tagged bucket → (left rows, right rows), ``__r`` dropped."""
+    r = g["__r"]
+    return (g.filter(pc.invert(r)).drop_columns(["__r"]),
+            g.filter(r).drop_columns(["__r"]))
 
 
 def broadcast_join(ds, small_df: pd.DataFrame, key: str,
                    how: str = "inner", suffix: str = "_r"):
     """Join ``ds`` against a driver-side small table without a shuffle.
 
-    ``small_df`` is put in the object store once; every batch does a
-    vectorized pandas merge against it. ``how`` ∈ {inner, left}.
-    Output blocks are Arrow (see :func:`_frame_to_arrow` for why).
+    ``small_df`` is put in the object store once, as Arrow; every batch
+    joins it with Arrow. ``how`` ∈ {inner, left}; NULL keys never match.
+    The key check and the suffixing run per batch: asking ``ds`` for
+    its schema up front would execute a lazy upstream shuffle twice.
     """
     import ray
 
-    ref = ray.put(small_df)
-    # schema-stable output types: left schema + the small side's dtypes
-    # (suffixed overlap columns inherit the small side's type)
-    target = _arrow_target_types(ds.schema())
-    left_names = set(target)
-    for c, d in small_df.dtypes.items():
-        name = c if (c == key or c not in left_names) else c + suffix
-        if name not in target:
-            try:
-                target[name] = (pa.string() if d == np.dtype("O")
-                                else pa.from_numpy_dtype(d))
-            except (TypeError, pa.ArrowNotImplementedError):
-                pass
+    if how not in ("inner", "left"):
+        raise ValueError(f"broadcast_join how={how!r} — expected "
+                         "'inner' or 'left'")
+    ref = ray.put(to_arrow(small_df))
 
-    def _join(batch: pd.DataFrame):
+    def _join(batch: pa.Table) -> pa.Table:
         right = ray.get(ref)
-        out = batch.merge(right, on=key, how=how, suffixes=("", suffix))
-        return _frame_to_arrow(out, target)
+        _check_key_types("broadcast_join", key, batch[key].type,
+                         right[key].type)
+        right = right.rename_columns(
+            [c + suffix if c != key and c in batch.column_names else c
+             for c in right.column_names])
+        right = right.set_column(right.schema.get_field_index(key), key,
+                                 right[key].cast(batch[key].type))
+        return _join_tables(batch, right, key, how)
 
-    return ds.map_batches(_join, batch_format="pandas")
+    return ds.map_batches(_join, batch_format="pyarrow")
 
 
 _TS_UNIT_TO_US = {"s": 1_000_000, "ms": 1_000, "us": 1}
@@ -218,8 +196,6 @@ def sessionize(ds, key: str = "user_id", ts: str = "ts",
 
     hot = None
     if max_events_per_task:
-        import pyarrow as pa
-        import pyarrow.compute as pc
         from ray.data.aggregate import Max, Min, Sum
 
         def probe(b: pd.DataFrame):
@@ -229,8 +205,8 @@ def sessionize(ds, key: str = "user_id", ts: str = "ts",
                 n=("_t", "size"), tmin=("_t", "min"), tmax=("_t", "max"))
             g["n"] = g["n"].astype("int64")
             # Arrow blocks into the stats aggregate (24× pandas-block
-            # combine penalty; see _frame_to_arrow)
-            return _frame_to_arrow(g, {})
+            # combine penalty; see functions/agg.py)
+            return to_arrow(g)
 
         stats = (ds.map_batches(probe, batch_format="pandas")
                  .groupby(key)
@@ -314,13 +290,14 @@ def hash_join(left, right, key: str, num_buckets: int = 32,
               hot_keys: Optional[Sequence] = None, salt_factor: int = 8):
     """Explicit partitioned hash join for two LARGE datasets.
 
-    Both sides get a vectorized ``bucket = hash(key) % B`` in
-    ``map_batches`` (``pd.util.hash_pandas_object`` — deterministic
-    siphash, no per-row Python); the tagged union shuffles ONCE on
-    ``bucket`` (``groupby``), and each bucket joins its two sides with a
-    pandas merge inside ``map_groups``. B is the partitioning contract:
-    one bucket (all rows of ~1/B of the key space, both sides) must fit
-    a worker's heap.
+    Both sides are padded to one union schema (typed nulls for the
+    other side's columns, the right key cast to the left key's type)
+    and bucketed with ``agg.key_buckets``; the tagged union shuffles
+    ONCE (``agg.bucket_shuffle``) and each bucket joins its two sides
+    with Arrow. ``how`` ∈ {inner, left, right, outer}. NULL keys never
+    match. Column types survive the join (an int64 column padded with
+    nulls stays int64). B is the partitioning contract: one bucket (all
+    rows of ~1/B of the key space, both sides) must fit a worker's heap.
 
     **Hot-key salting**: pass ``hot_keys`` (the few keys that dominate
     the distribution — e.g. from a cheap pre-count) to split each hot
@@ -334,114 +311,60 @@ def hash_join(left, right, key: str, num_buckets: int = 32,
     (Ray ≥ 2.46 also ships ``Dataset.join`` with the same
     hash-partitioned plan; this spells the pattern out explicitly.)
 
-    Key-dtype contract: bucketing hashes the key column AS TYPED
-    (``hash_pandas_object`` is dtype-sensitive — int64 8 and float64
-    8.0 bucket differently). Both sides must carry the key in the same
-    dtype; in particular, a column that passed through a PREVIOUS
-    hash_join's union/pad may have been NA-upcast to float/object and
-    must be cast back before chaining a second join on it.
+    Key-dtype contract: both sides must carry the key in one type class
+    (int, float, string, ...) — int64 8 and float64 8.0 bucket
+    differently, so a mismatch raises instead of dropping matches.
     """
+    if how not in _HOW:
+        raise ValueError(f"hash_join how={how!r} — expected one of "
+                         f"{tuple(_HOW)}")
     if hot_keys and how not in ("inner", "left"):
         # right/outer would emit an unmatched right hot row once per
         # sub-bucket (salt_factor duplicates) — refuse instead of
         # silently corrupting the result
         raise ValueError(
             f"hot_keys salting supports how='inner'/'left' only, got {how!r}")
-    lsch, rsch = left.schema(), right.schema()
-    left_cols = list(lsch.names)
-    right_cols = list(rsch.names)
+    ltypes = _arrow_types(left.schema())
+    rtypes = _arrow_types(right.schema())
+    _check_key_types("hash_join", key, ltypes.get(key), rtypes.get(key))
+    rname = {c: c + suffix if c in ltypes and c != key else c
+             for c in rtypes}
+    types = {**ltypes, **{rname[c]: t for c, t in rtypes.items()
+                          if c != key}}
+    right_cols = [key] + [rname[c] for c in rtypes if c != key]
+    hot = pa.array(list(hot_keys), ltypes[key]) if hot_keys else None
+    S = max(1, salt_factor) if hot is not None else 1
 
-    def _dtype_class(t) -> str:
-        # normalize across Arrow-block and pandas-block schemas: arrow
-        # `string` and pandas `object` hold (and hash) the same values,
-        # while int-vs-float-vs-object IS the silent-drop trap
-        s = str(t).lower()
-        if "bool" in s:
-            return "bool"
-        if "int" in s:
-            return "int"
-        if "float" in s or "double" in s or "decimal" in s:
-            return "float"
-        if "str" in s or "object" in s or "utf8" in s:
-            return "str"
-        return s
+    def _tag(t: pa.Table, right_side: bool):
+        t = _pad(t, types, right_side)
+        b = key_buckets(t, [key], num_buckets) * S
+        if hot is None:
+            return t.append_column("__b", pa.array(b))
+        ishot = pc.is_in(t[key], value_set=hot).to_numpy(
+            zero_copy_only=False)
+        n_hot = int(ishot.sum())
+        if not right_side:
+            b[ishot] += np.arange(n_hot, dtype=np.int64) % S
+            return t.append_column("__b", pa.array(b))
+        # one take: cold rows once, hot rows once per sub-bucket
+        cold_i, hot_i = np.flatnonzero(~ishot), np.flatnonzero(ishot)
+        idx = np.concatenate([cold_i, np.tile(hot_i, S)])
+        b = np.concatenate([b[cold_i], np.tile(b[hot_i], S)
+                            + np.repeat(np.arange(S, dtype=np.int64), n_hot)])
+        return t.take(idx).append_column("__b", pa.array(b))
 
-    lt = dict(zip(lsch.names, lsch.types)).get(key)
-    rt = dict(zip(rsch.names, rsch.types)).get(key)
-    if (lt is not None and rt is not None
-            and _dtype_class(lt) != _dtype_class(rt)):
-        # a dtype-class mismatch buckets the two sides differently and
-        # silently drops matches — fail loudly instead (the chained-join
-        # NA-upcast trap; see the docstring)
-        raise ValueError(
-            f"hash_join key dtype mismatch on {key!r}: left={lt}, "
-            f"right={rt} — cast both sides to one dtype before joining")
-    all_cols = left_cols + [c for c in right_cols if c not in left_cols]
-    hot = frozenset(hot_keys) if hot_keys else None
-    S = max(1, salt_factor) if hot else 1
+    def tag_right(t: pa.Table):
+        return _tag(t.rename_columns([rname[c] for c in t.column_names]),
+                    True)
 
-    # one Arrow schema for BOTH tagged sides (typed nulls for the pad),
-    # so the union → sort → aggregate chain downstream stays on Arrow
-    # blocks end-to-end; see _frame_to_arrow for the measured 24× cost
-    # of letting pandas blocks (or empty-bucket pandas passthroughs)
-    # reach a groupby().aggregate()
-    target = _arrow_target_types(lsch, rsch)
-    target["__bucket"] = pa.int64()
-    target["__side"] = pa.string()
-    l_restore = _np_restore_dtypes(lsch)
-    r_restore = _np_restore_dtypes(rsch)
+    def join_bucket(g: pa.Table) -> pa.Table:
+        l, r = _sides(g)
+        return _join_tables(l.select(list(ltypes)), r.select(right_cols),
+                            key, how)
 
-    def _pad(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        for c in all_cols:              # union needs one schema: pad with NA
-            if c not in b.columns:
-                b[c] = pd.NA
-        return b[all_cols]
-
-    def _buckets(col: pd.Series) -> np.ndarray:
-        h = pd.util.hash_pandas_object(col, index=False).to_numpy()
-        return (h % np.uint64(num_buckets)).astype(np.int64)
-
-    def tag_left(b: pd.DataFrame):
-        b = _pad(b)
-        bucket = _buckets(b[key]) * S
-        if hot:
-            ishot = b[key].isin(hot).to_numpy()
-            salt = np.zeros(len(b), dtype=np.int64)
-            salt[ishot] = np.arange(int(ishot.sum()), dtype=np.int64) % S
-            bucket = bucket + salt
-        b["__bucket"] = bucket
-        b["__side"] = "l"
-        return _frame_to_arrow(b, target)
-
-    def tag_right(b: pd.DataFrame):
-        b = _pad(b)
-        b["__bucket"] = _buckets(b[key]) * S
-        b["__side"] = "r"
-        if hot:
-            ishot = b[key].isin(hot).to_numpy()
-            cold = b[~ishot]
-            hot_rows = b[ishot]
-            reps = [hot_rows.assign(__bucket=hot_rows["__bucket"] + s)
-                    for s in range(S)]
-            b = pd.concat([cold, *reps], ignore_index=True)
-        return _frame_to_arrow(b, target)
-
-    lt = left.map_batches(tag_left, batch_format="pandas")
-    rt = right.map_batches(tag_right, batch_format="pandas")
-    both = lt.union(rt)
-
-    def join_bucket(g: pd.DataFrame):
-        # the Arrow group block to_pandas-converts int64-with-nulls to
-        # float64 (the nulls are the OTHER side's pad rows) — restore
-        # each side's input dtypes before the merge so join semantics
-        # and output types match the inputs
-        l = _restore(g[g["__side"] == "l"][left_cols], l_restore)
-        r = _restore(g[g["__side"] == "r"][right_cols], r_restore)
-        out = l.merge(r, on=key, how=how, suffixes=("", suffix))
-        return _frame_to_arrow(out, target)
-
-    return both.groupby("__bucket").map_groups(join_bucket, batch_format="pandas")
+    both = (left.map_batches(_tag, fn_args=(False,), batch_format="pyarrow")
+            .union(right.map_batches(tag_right, batch_format="pyarrow")))
+    return bucket_shuffle(both, join_bucket)
 
 
 def join_auto(left, right, key: str, right_key: Optional[str] = None,
@@ -529,89 +452,41 @@ def hash_semi_join(left, right, key: str, num_buckets: int = 32,
     """Partitioned semi- / anti-join: left rows whose key does (semi) or
     does not (anti) appear on the right. Only LEFT columns come out —
     the right side is reduced to its DISTINCT keys before it moves.
+    NULL keys never match: a null-key left row is dropped by the semi
+    form and kept by the anti form (SQL ``IN`` / ``NOT EXISTS``).
 
-    Scale shape: the right side is projected to the key column and
-    deduplicated per batch in ``map_batches`` (a million repeats of one
-    key leave each block as one row), so the tagged-union shuffle moves
-    at most one right row per (key, block). Each bucket then does a
-    vectorized ``isin`` probe — no merge, no row multiplication, which
-    is what distinguishes this from ``hash_join(how='left')`` + filter:
-    a left row can never be duplicated by multiple right matches.
+    Scale shape: the right side is projected to its distinct non-null
+    keys per batch (a million repeats of one key leave each block as
+    one row), so the tagged-union shuffle moves at most one right row
+    per (key, block). Each bucket then does one ``pc.is_in`` probe — no
+    join, no row multiplication, which is what distinguishes this from
+    ``hash_join(how='left')`` + filter: a left row can never be
+    duplicated by multiple right matches. Left columns of any Arrow
+    type (lists included) cross the shuffle as they are.
 
-    Same key-dtype contract as :func:`hash_join` (bucketing hashes the
-    key AS TYPED; both sides must agree on the dtype class).
+    Same key-dtype contract as :func:`hash_join`.
     """
-    lsch, rsch = left.schema(), right.schema()
-    left_cols = list(lsch.names)
+    ltypes = _arrow_types(left.schema())
+    _check_key_types("hash_semi_join", key, ltypes.get(key),
+                     _arrow_types(right.schema()).get(key))
 
-    def _cls(t) -> str:
-        s = str(t).lower()
-        if "bool" in s:
-            return "bool"
-        if "int" in s:
-            return "int"
-        if "float" in s or "double" in s or "decimal" in s:
-            return "float"
-        if "str" in s or "object" in s or "utf8" in s:
-            return "str"
-        return s
+    def _tag(t: pa.Table, right_side: bool) -> pa.Table:
+        if right_side:
+            t = pa.table({key: pc.unique(t[key]).drop_null()})
+        t = _pad(t, ltypes, right_side)
+        return t.append_column(
+            "__b", pa.array(key_buckets(t, [key], num_buckets)))
 
-    lt = dict(zip(lsch.names, lsch.types)).get(key)
-    rt = dict(zip(rsch.names, rsch.types)).get(key)
-    if lt is not None and rt is not None and _cls(lt) != _cls(rt):
-        raise ValueError(
-            f"hash_semi_join key dtype mismatch on {key!r}: left={lt}, "
-            f"right={rt} — cast both sides to one dtype before joining")
+    def probe_bucket(g: pa.Table) -> pa.Table:
+        l, r = _sides(g)
+        hit = pc.is_in(l[key], value_set=r[key].combine_chunks(),
+                       skip_nulls=True)
+        return l.filter(pc.invert(hit) if anti else hit)
 
-    left_dtypes = _np_restore_dtypes(lsch)
-    # Arrow output blocks end-to-end (typed nulls for the key-only right
-    # rows' pad) — see _frame_to_arrow for the measured aggregate cost
-    # of pandas blocks reaching a downstream groupby().aggregate()
-    target = _arrow_target_types(lsch, rsch)   # left wins; right fills key
-    target["__bucket"] = pa.int64()
-    target["__side"] = pa.string()
-
-    def _buckets(col: pd.Series) -> np.ndarray:
-        h = pd.util.hash_pandas_object(col, index=False).to_numpy()
-        return (h % np.uint64(num_buckets)).astype(np.int64)
-
-    def tag_left(b: pd.DataFrame):
-        b = b.copy()
-        b["__bucket"] = _buckets(b[key])
-        b["__side"] = "l"
-        return _frame_to_arrow(b[left_cols + ["__bucket", "__side"]], target)
-
-    def tag_right(b: pd.DataFrame):
-        # distinct keys only — the local shrink that keeps the shuffle
-        # proportional to key cardinality, not right row count
-        kb = b[[key]].drop_duplicates()
-        out = pd.DataFrame({key: kb[key].to_numpy()})
-        for c in left_cols:
-            if c not in out.columns:
-                out[c] = pd.NA
-        out["__bucket"] = _buckets(out[key])
-        out["__side"] = "r"
-        return _frame_to_arrow(out[left_cols + ["__bucket", "__side"]],
-                               target)
-
-    lt_ds = left.map_batches(tag_left, batch_format="pandas")
-    rt_ds = right.map_batches(tag_right, batch_format="pandas")
-    both = lt_ds.union(rt_ds)
-
-    def probe_bucket(g: pd.DataFrame):
-        l = g[g["__side"] == "l"]
-        rkeys = g.loc[g["__side"] == "r", key]
-        hit = l[key].isin(set(rkeys)).to_numpy()
-        keep = ~hit if anti else hit
-        out = l.loc[keep, left_cols]
-        # the union's NA-padded right rows upcast the combined group
-        # block; restore the left side's input dtypes so the output
-        # schema is stable (including when empty)
-        out = _restore(out, left_dtypes)
-        return _frame_to_arrow(out, target)
-
-    return both.groupby("__bucket").map_groups(probe_bucket,
-                                               batch_format="pandas")
+    both = (left.map_batches(_tag, fn_args=(False,), batch_format="pyarrow")
+            .union(right.map_batches(_tag, fn_args=(True,),
+                                     batch_format="pyarrow")))
+    return bucket_shuffle(both, probe_bucket)
 
 
 def pair_by_stem(image_paths: Sequence[str], hocr_paths: Sequence[str]

@@ -381,57 +381,3 @@ def test_plan_groups_partition_invariants_fuzz(sizes, target):
         tot = sum(size_of[p] for p in g)
         assert tot <= target or len(g) == 1
     assert plan == plan_groups(files, target)
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    lists=st.lists(st.lists(st.integers(min_value=0, max_value=2**63 - 1),
-                            min_size=0, max_size=20),
-                   min_size=0, max_size=40),
-    n_chunks=st.integers(min_value=1, max_value=4),
-    slice_head=st.integers(min_value=0, max_value=5),
-)
-def test_pack_unpack_list_roundtrip_fuzz(lists, n_chunks, slice_head):
-    """list<uint64> → binary → list<uint64> roundtrip through the
-    vectorized buffer splices, across chunked and SLICED inputs (the
-    offset bookkeeping is the subtle part)."""
-    from ocr_table_extractor_to_csv_ray.functions.dedup import (
-        _pack_list_col, _unpack_binary_col)
-
-    arr = pa.array(lists, pa.list_(pa.uint64()))
-    if len(arr) and n_chunks > 1:
-        cuts = sorted({min(len(arr) - 1, 1 + i * max(1, len(arr) // n_chunks))
-                       for i in range(n_chunks - 1)})
-        parts, prev = [], 0
-        for c in cuts + [len(arr)]:
-            parts.append(arr.slice(prev, c - prev))
-            prev = c
-        col = pa.chunked_array(parts)
-    else:
-        col = arr
-    packed = _pack_list_col(col, pa.uint64())
-    back = _unpack_binary_col(packed, pa.uint64())
-    assert back.to_pylist() == lists
-
-    # sliced binary input to unpack (non-zero array offset)
-    if len(packed) > slice_head:
-        sl = packed.slice(slice_head)
-        back2 = _unpack_binary_col(sl, pa.uint64())
-        assert back2.to_pylist() == lists[slice_head:]
-
-
-@settings(max_examples=50, deadline=None)
-@given(
-    lists=st.lists(st.lists(st.floats(allow_nan=False, allow_infinity=False,
-                                      width=32),
-                            min_size=1, max_size=8),
-                   min_size=1, max_size=25),
-)
-def test_pack_unpack_float32_roundtrip_fuzz(lists):
-    from ocr_table_extractor_to_csv_ray.functions.dedup import (
-        _pack_list_col, _unpack_binary_col)
-
-    arr = pa.array(lists, pa.list_(pa.float32()))
-    back = _unpack_binary_col(_pack_list_col(arr, pa.float32()),
-                              pa.float32())
-    assert back.to_pylist() == arr.to_pylist()

@@ -87,20 +87,51 @@ def test_grouped_agg_count_only_is_group_count(ray_session, rng):
 
 
 def test_grouped_agg_output_blocks_are_arrow(ray_session, rng):
+    """Every non-empty output block of the bucketed operators is an
+    Arrow table without ``pandas`` schema metadata (which makes schemas
+    unhashable in Ray's ``unify_schemas``). Ray's sort shuffle still
+    emits schema-less empty blocks for empty partitions; those are
+    skipped."""
     import ray
     import ray.data as rd
+    from ocr_table_extractor_to_csv_ray.functions.compact import latest_wins
+    from ocr_table_extractor_to_csv_ray.functions.dedup import (
+        duplicate_line_removal)
+    from ocr_table_extractor_to_csv_ray.functions.join import (
+        broadcast_join, hash_join, hash_semi_join)
 
     df = pd.DataFrame({"k": rng.integers(0, 50, 1000).astype("int64"),
                        "v": np.ones(1000, dtype="int64")})
-    out = grouped_sum(rd.from_pandas([df]), "k", ["v"],
-                      num_buckets=4).materialize()
-    types = set()
-    for bundle in out.iter_internal_ref_bundles():
-        for ref in bundle.block_refs:
-            blk = ray.get(ref)
-            if len(blk):               # sort may emit empty pandas blocks
-                types.add(type(blk).__name__)
-    assert types == {"Table"}
+    small = pd.DataFrame({"k": np.arange(0, 50, 2, dtype="int64"),
+                          "tag": [f"t{i}" for i in range(25)]})
+    docs = pd.DataFrame({"doc_id": np.arange(20, dtype="int64"),
+                         "text": [f"shared boilerplate line\nline {i % 7} of doc"
+                                  for i in range(20)]})
+
+    def ds(frame):
+        return rd.from_pandas([frame])
+
+    outputs = {
+        "grouped_sum": grouped_sum(ds(df), "k", ["v"], num_buckets=4),
+        "hash_join": hash_join(ds(df), ds(small), "k", num_buckets=4),
+        "semi": hash_semi_join(ds(df), ds(small), "k", num_buckets=4),
+        "anti": hash_semi_join(ds(df), ds(small), "k", num_buckets=4,
+                               anti=True),
+        "broadcast_join": broadcast_join(ds(df), small, "k"),
+        "latest_wins": latest_wins(ds(df.assign(t=np.arange(1000))), ["k"],
+                                   "t", "v"),
+        "duplicate_line_removal": duplicate_line_removal(ds(docs),
+                                                         min_chars=5),
+    }
+    for name, out in outputs.items():
+        blocks = [ray.get(ref) for bundle in
+                  out.materialize().iter_internal_ref_bundles()
+                  for ref in bundle.block_refs]
+        blocks = [b for b in blocks if len(b)]
+        assert blocks, name
+        for blk in blocks:
+            assert isinstance(blk, pa.Table), (name, type(blk))
+            assert b"pandas" not in (blk.schema.metadata or {}), name
 
 
 def test_grouped_agg_rejects_non_associative(ray_session):
@@ -132,3 +163,25 @@ def test_grouped_agg_downstream_of_hash_join(ray_session, rng):
     want["n"] = want["n"].astype("int64")
     pd.testing.assert_frame_equal(_canon(got), _canon(want),
                                   check_dtype=False)
+
+
+def test_key_buckets_ignore_width_and_nulls():
+    """A key's bucket depends on its value only: not on the integer or
+    string width a side stores it in, nor on nulls elsewhere in the
+    batch (a NaN-upcast column would rehash every key)."""
+    from ocr_table_extractor_to_csv_ray.functions.agg import key_buckets
+
+    vals = [3, 17, 2**40, -5]
+    want = key_buckets(pa.table({"k": pa.array(vals, pa.int64())}), ["k"], 16)
+    assert want.dtype == np.int64 and ((0 <= want) & (want < 16)).all()
+    with_null = pa.table({"k": pa.array(vals + [None], pa.int64())})
+    assert list(key_buckets(with_null, ["k"], 16)[:4]) == list(want)
+    small = pa.table({"k": pa.array(vals[:2] + [-5], pa.int32())})
+    assert list(key_buckets(small, ["k"], 16)) == [want[0], want[1], want[3]]
+
+    words = ["a", "bb", None, "ccc"]
+    s = key_buckets(pa.table({"k": pa.array(words)}), ["k"], 8)
+    ls = key_buckets(pa.table({"k": pa.array(words, pa.large_string())}),
+                     ["k"], 8)
+    chunked = pa.table({"k": pa.chunked_array([words[:1], words[1:]])})
+    assert list(s) == list(ls) == list(key_buckets(chunked, ["k"], 8))

@@ -522,3 +522,47 @@ def test_sessionize_mega_key_single_user_large(ray_session):
     assert out["n_events"].sum() == n                 # every event counted
     assert len(out) == (n + 999) // 1000              # one session per jump
     assert out["session_id"].is_unique
+
+
+def test_null_keys_never_match_duckdb(ray_session):
+    """SQL join semantics: a NULL key equals nothing, not even another
+    NULL. Each operator is compared with DuckDB on the same rows."""
+    import duckdb
+    import ray.data as rd
+    from ocr_table_extractor_to_csv_ray.functions.join import (
+        hash_join, hash_semi_join)
+
+    left = pd.DataFrame({"k": ["a", None, "b"], "v": [1, 2, 3]})
+    right = pd.DataFrame({"k": ["a", None], "w": [10, 20]})
+    con = duckdb.connect()
+    con.register("l", left)
+    con.register("r", right)
+
+    def rows(df, cols):
+        return sorted((tuple(None if pd.isna(x) else x for x in r)
+                       for r in df[cols].itertuples(index=False)), key=repr)
+
+    def sql(q, cols):
+        return rows(con.execute(q).df(), cols)
+
+    want_inner = sql("SELECT l.k, v, w FROM l JOIN r ON l.k = r.k",
+                     ["k", "v", "w"])
+    want_semi = sql("SELECT * FROM l WHERE k IN (SELECT k FROM r)",
+                    ["k", "v"])
+    want_anti = sql("SELECT * FROM l WHERE NOT EXISTS "
+                    "(SELECT 1 FROM r WHERE r.k = l.k)", ["k", "v"])
+    assert want_inner == [("a", 1, 10)]
+    assert want_semi == [("a", 1)]
+    assert want_anti == [("b", 3), (None, 2)]
+
+    def ds():
+        return rd.from_pandas(left), rd.from_pandas(right)
+
+    got = hash_join(*ds(), "k", num_buckets=3).to_pandas()
+    assert rows(got, ["k", "v", "w"]) == want_inner
+    got = broadcast_join(rd.from_pandas(left), right, "k").to_pandas()
+    assert rows(got, ["k", "v", "w"]) == want_inner
+    got = hash_semi_join(*ds(), "k", num_buckets=3).to_pandas()
+    assert rows(got, ["k", "v"]) == want_semi
+    got = hash_semi_join(*ds(), "k", num_buckets=3, anti=True).to_pandas()
+    assert rows(got, ["k", "v"]) == want_anti

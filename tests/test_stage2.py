@@ -953,7 +953,9 @@ def test_dup_keys_semi_join_path_equivalent(ray_session, monkeypatch):
     distributed Dataset applied via hash_semi_join — forcing that path
     (threshold 0) must yield the same survivors/clusters as the
     broadcast path, and no key-proportional to_pandas may run on the
-    key set (VERDICT r3 watch item #4)."""
+    key set (VERDICT r3 watch item #4). The semi-join carries each
+    method's payload as it is: int64 MinHash signatures, the SimHash
+    column and float32 unit vectors."""
     import ray.data as rd
     from ocr_table_extractor_to_csv_ray.functions import dedup
 
@@ -962,13 +964,31 @@ def test_dup_keys_semi_join_path_equivalent(ray_session, monkeypatch):
              base + " other", "unrelated corpus of many words " * 6]
     t = pa.table({"doc_id": pa.array([10, 20, 30, 40, 50], pa.int64()),
                   "text": pa.array(texts)})
-
-    surv_b, clus_b = dedup.minhash_lsh_dedup(rd.from_arrow(t), threshold=0.7)
-    ids_b = sorted(surv_b.to_pandas()["doc_id"])
+    rng = np.random.default_rng(5)
+    vbase = rng.standard_normal(32).astype(np.float32)
+    vecs = [vbase, vbase + 0.001 * rng.standard_normal(32).astype(np.float32),
+            rng.standard_normal(32).astype(np.float32)]
+    e = pa.table({"vec_id": pa.array([1, 2, 3], pa.int64()),
+                  "embedding": pa.array([v.tolist() for v in vecs],
+                                        pa.list_(pa.float32()))})
+    runs = {
+        "minhash": (lambda: dedup.minhash_lsh_dedup(rd.from_arrow(t),
+                                                    threshold=0.7),
+                    "doc_id"),
+        "simhash": (lambda: dedup.simhash_dedup(rd.from_arrow(t),
+                                                max_hamming=20),
+                    "doc_id"),
+        "embedding": (lambda: dedup.embedding_neardup(rd.from_arrow(e),
+                                                      threshold=0.99),
+                      "vec_id"),
+    }
+    want = {}
+    for name, (run, id_col) in runs.items():
+        surv, clus = run()
+        want[name] = (sorted(surv.to_pandas()[id_col]), clus)
+        assert clus, name          # each method finds its duplicates
 
     monkeypatch.setattr(dedup, "DUP_KEYS_COLLECT_THRESHOLD", 0)
-    surv_s, clus_s = dedup.minhash_lsh_dedup(rd.from_arrow(t), threshold=0.7)
-    ids_s = sorted(surv_s.to_pandas()["doc_id"])
-
-    assert ids_s == ids_b
-    assert clus_s == clus_b
+    for name, (run, id_col) in runs.items():
+        surv, clus = run()
+        assert (sorted(surv.to_pandas()[id_col]), clus) == want[name], name
