@@ -33,29 +33,24 @@ def _docs(sf_dir: str, columns=None):
                            columns=columns)
 
 
-def _pq_col_max(path: str, col: str):
-    """Max of an int column from parquet row-group statistics — zero
-    data read. Returns None when any row group lacks min/max stats
-    (callers must then take the non-broadcast tier)."""
-    import pyarrow.parquet as pq
-    f = pq.ParquetFile(path)
-    try:
-        idx = f.schema_arrow.names.index(col)
-    except ValueError:
-        return None
-    mx = None
-    for i in range(f.metadata.num_row_groups):
-        st = f.metadata.row_group(i).column(idx).statistics
-        if st is None or not st.has_min_max:
-            return None
-        mx = st.max if mx is None else max(mx, st.max)
-    return mx
+def _revenue_cents(t: pa.Table) -> pa.Array:
+    """Per-line revenue in integer cents,
+    ``floor(l_extendedprice * (1 - l_discount) * 100)``: floored per row
+    before any sum, so every engine sums the same integers."""
+    import pyarrow.compute as pc
+    return pc.cast(pc.floor(pc.multiply(pc.multiply(
+        t["l_extendedprice"], pc.subtract(pa.scalar(1.0), t["l_discount"])),
+        pa.scalar(100.0))), pa.int64())
 
 
-# broadcast-LUT tiers gate on the dense LUT LENGTH (max_key + 1), not
-# the dimension's row count — sparse keys otherwise over-allocate
-_NTM_SUPP_LUT_MAX = 16_000_000     # int16 LUT: ≤ 32 MB broadcast
-_NTM_CUST_LUT_MAX = 2_000_000      # int32 LUT: ≤ 8 MB broadcast
+def _order_cents(t: pa.Table, keys=("o_orderkey",)) -> pa.Table:
+    """Lineitem batch → revenue cents summed per ``keys`` in the batch
+    (``o_orderkey`` is read from ``l_orderkey``): the pre-sum that
+    shrinks lineitem before it joins orders."""
+    cols = {k: t["l_orderkey" if k == "o_orderkey" else k] for k in keys}
+    g = (pa.table({**cols, "cents": _revenue_cents(t)})
+         .group_by(list(keys)).aggregate([("cents", "sum")]))
+    return pa.table({**{k: g[k] for k in keys}, "cents": g["cents_sum"]})
 
 
 def _embeddings(sf_dir: str, columns=("vec_id", "embedding")):
@@ -476,22 +471,12 @@ def _lang_distribution(sf_dir: str):
 
 
 def _corpus_stats_by_lang(sf_dir: str):
-    """Partial per-batch aggregation, then the (tiny) groupby — the
-    scale pattern for high-cardinality-safe aggregates."""
-    import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
-
-    def partial(t: pa.Table) -> pa.Table:
-        g = t.group_by("lang").aggregate([("n_chars", "sum"), ("doc_id", "count")])
-        return pa.table({
-            "lang": g["lang"],
-            "chars": pc.cast(g["n_chars_sum"], pa.int64()),
-            "docs": pc.cast(g["doc_id_count"], pa.int64()),
-        })
-
-    partials = _docs(sf_dir, ["doc_id", "lang", "n_chars"]).map_batches(partial, batch_format="pyarrow")
-    return partials.groupby("lang").aggregate(
-        Sum("chars", alias_name="total_chars"), Sum("docs", alias_name="n_docs"))
+    """Characters and documents per language: one low-cardinality
+    grouped aggregate (per-batch partial, one native reduce)."""
+    from ocr_table_extractor_to_csv_ray.functions.agg import grouped_agg_lowcard
+    return grouped_agg_lowcard(_docs(sf_dir, ["lang", "n_chars"]), "lang",
+                               {"total_chars": ("n_chars", "sum")},
+                               count="n_docs")
 
 
 def _langid(sf_dir: str):
@@ -946,51 +931,36 @@ def _lineitem_pricing(sf_dir: str):
     """TPC-H-Q1-shaped pricing summary: per (returnflag, linestatus),
     counts + integer-cents sums (disc price and charge floored to cents
     per row BEFORE summing, so the result is engine-portable — float
-    sum order never matters). Partial Arrow aggregation per batch, one
-    tiny global groupby."""
+    sum order never matters). One map computes the per-row columns, one
+    grouped sum reduces them."""
     import ray.data as rd
     import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
+    from ocr_table_extractor_to_csv_ray.functions.agg import grouped_agg_lowcard
 
     li = rd.read_parquet(
         os.path.join(sf_dir, "lineitem.parquet"),
         columns=["l_returnflag", "l_linestatus", "l_quantity",
                  "l_extendedprice", "l_discount", "l_tax"])
 
-    def partial(t: pa.Table) -> pa.Table:
+    def prep(t: pa.Table) -> pa.Table:
         cents = lambda col: pc.cast(pc.floor(pc.multiply(col, pa.scalar(100.0))), pa.int64())
         price = t["l_extendedprice"]
         disc_price = pc.multiply(price, pc.subtract(pa.scalar(1.0), t["l_discount"]))
         charge = pc.multiply(disc_price, pc.add(pa.scalar(1.0), t["l_tax"]))
-        g = (pa.table({
-                "l_returnflag": t["l_returnflag"],
-                "l_linestatus": t["l_linestatus"],
-                "qty": pc.cast(t["l_quantity"], pa.int64()),
-                "price_cents": cents(price),
-                "disc_price_cents": cents(disc_price),
-                "charge_cents": cents(charge),
-             }).group_by(["l_returnflag", "l_linestatus"])
-               .aggregate([("qty", "sum"), ("price_cents", "sum"),
-                           ("disc_price_cents", "sum"), ("charge_cents", "sum"),
-                           ("qty", "count")]))
         return pa.table({
-            "l_returnflag": g["l_returnflag"],
-            "l_linestatus": g["l_linestatus"],
-            "sum_qty": g["qty_sum"],
-            "sum_price_cents": g["price_cents_sum"],
-            "sum_disc_price_cents": g["disc_price_cents_sum"],
-            "sum_charge_cents": g["charge_cents_sum"],
-            "n_rows": pc.cast(g["qty_count"], pa.int64()),
+            "l_returnflag": t["l_returnflag"],
+            "l_linestatus": t["l_linestatus"],
+            "sum_qty": pc.cast(t["l_quantity"], pa.int64()),
+            "sum_price_cents": cents(price),
+            "sum_disc_price_cents": _revenue_cents(t),
+            "sum_charge_cents": cents(charge),
         })
 
-    return (li.map_batches(partial, batch_format="pyarrow")
-            .groupby(["l_returnflag", "l_linestatus"])
-            .aggregate(Sum("sum_qty", alias_name="sum_qty"),
-                       Sum("sum_price_cents", alias_name="sum_price_cents"),
-                       Sum("sum_disc_price_cents",
-                           alias_name="sum_disc_price_cents"),
-                       Sum("sum_charge_cents", alias_name="sum_charge_cents"),
-                       Sum("n_rows", alias_name="n_rows")))
+    sums = ("sum_qty", "sum_price_cents", "sum_disc_price_cents",
+            "sum_charge_cents")
+    return grouped_agg_lowcard(li.map_batches(prep, batch_format="pyarrow"),
+                               ["l_returnflag", "l_linestatus"],
+                               {c: (c, "sum") for c in sums}, count="n_rows")
 
 
 def _events_pushdown_read(sf_dir: str):
@@ -1030,26 +1000,20 @@ def _events_pushdown_read(sf_dir: str):
 def _events_hourly(sf_dir: str):
     import ray.data as rd
     import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
+    from ocr_table_extractor_to_csv_ray.functions.agg import grouped_agg
 
     ev = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
                          columns=["user_id", "ts"])
 
-    def partial(t: pa.Table) -> pa.Table:
+    def prep(t: pa.Table) -> pa.Table:
         hour = pc.divide(pc.cast(t["ts"], pa.int64()), 3_600_000_000)
-        g = (t.drop_columns(["ts"]).append_column("hour_id", hour)
-              .group_by(["user_id", "hour_id"]).aggregate([("user_id", "count")]))
-        return pa.table({
-            "user_id": g["user_id"], "hour_id": g["hour_id"],
-            "n": pc.cast(g["user_id_count"], pa.int64()),
-        })
+        return pa.table({"user_id": t["user_id"], "hour_id": hour})
 
-    from ocr_table_extractor_to_csv_ray.functions.agg import grouped_sum
-    # (user, hour) key space scales with corpus span — grouped_sum
+    # (user, hour) key space scales with corpus span — grouped_agg
     # (functions/agg.py), not the native per-row combine
-    return grouped_sum(ev.map_batches(partial, batch_format="pyarrow"),
-                       ["user_id", "hour_id"], {"n": "n_events"},
-                       num_buckets=16)
+    return grouped_agg(ev.map_batches(prep, batch_format="pyarrow"),
+                       ["user_id", "hour_id"], {}, num_buckets=16,
+                       count="n_events")
 
 
 def _join_doc_labels(sf_dir: str):
@@ -1092,8 +1056,7 @@ def _revenue_by_segment(sf_dir: str):
     local combine shrinks the biggest table ~4× before it shuffles) and
     integer-cents revenue so the sum is engine-portable."""
     import ray.data as rd
-    import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
+    from ocr_table_extractor_to_csv_ray.functions.agg import grouped_agg_lowcard
     from ocr_table_extractor_to_csv_ray.functions.join import hash_join
 
     cust = (rd.read_parquet(os.path.join(sf_dir, "customer.parquet"),
@@ -1108,29 +1071,10 @@ def _revenue_by_segment(sf_dir: str):
     li = rd.read_parquet(os.path.join(sf_dir, "lineitem.parquet"),
                          columns=["l_orderkey", "l_extendedprice",
                                   "l_discount"])
-
-    def li_partial(t: pa.Table) -> pa.Table:
-        cents = pc.cast(pc.floor(pc.multiply(pc.multiply(
-            t["l_extendedprice"],
-            pc.subtract(pa.scalar(1.0), t["l_discount"])),
-            pa.scalar(100.0))), pa.int64())
-        g = (pa.table({"o_orderkey": t["l_orderkey"], "cents": cents})
-             .group_by("o_orderkey").aggregate([("cents", "sum")]))
-        return pa.table({"o_orderkey": g["o_orderkey"],
-                         "cents": pc.cast(g["cents_sum"], pa.int64())})
-
-    rev = li.map_batches(li_partial, batch_format="pyarrow")
+    rev = li.map_batches(_order_cents, batch_format="pyarrow")
     joined = hash_join(oc, rev, key="o_orderkey", num_buckets=16)
-
-    def seg_partial(t: pa.Table) -> pa.Table:
-        g = t.select(["c_mktsegment", "cents"]).group_by(
-            "c_mktsegment").aggregate([("cents", "sum")])
-        return pa.table({"c_mktsegment": g["c_mktsegment"],
-                         "cents": pc.cast(g["cents_sum"], pa.int64())})
-
-    return (joined.map_batches(seg_partial, batch_format="pyarrow")
-            .groupby("c_mktsegment")
-            .aggregate(Sum("cents", alias_name="revenue_cents")))
+    return grouped_agg_lowcard(joined, "c_mktsegment",
+                               {"revenue_cents": ("cents", "sum")})
 
 
 def _events_sessions(sf_dir: str):
@@ -1143,142 +1087,96 @@ def _events_sessions(sf_dir: str):
 
 def _events_type_value(sf_dir: str):
     import ray.data as rd
-    import numpy as np
     import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
+    from ocr_table_extractor_to_csv_ray.functions.agg import grouped_agg_lowcard
 
     ev = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
                          columns=["event_type", "value"])
 
-    def partial(t: pa.Table) -> pa.Table:
+    def prep(t: pa.Table) -> pa.Table:
         # per-row floor(value*100) is deterministic IEEE in any engine;
         # the subsequent integer sum is order-independent
         cents = pc.cast(pc.floor(pc.multiply(t["value"], pa.scalar(100.0))), pa.int64())
-        g = (t.drop_columns(["value"]).append_column("cents", cents)
-              .group_by("event_type")
-              .aggregate([("cents", "sum"), ("cents", "count")]))
-        return pa.table({
-            "event_type": g["event_type"],
-            "cents": pc.cast(g["cents_sum"], pa.int64()),
-            "n": pc.cast(g["cents_count"], pa.int64()),
-        })
+        return pa.table({"event_type": t["event_type"], "total_cents": cents})
 
-    return (ev.map_batches(partial, batch_format="pyarrow")
-              .groupby("event_type")
-              .aggregate(Sum("cents", alias_name="total_cents"),
-                         Sum("n", alias_name="n_events")))
+    return grouped_agg_lowcard(ev.map_batches(prep, batch_format="pyarrow"),
+                               "event_type",
+                               {"total_cents": ("total_cents", "sum")},
+                               count="n_events")
 
 
 def _star_join_region_revenue(sf_dir: str):
     """Star join, THE broadcast pattern for 100 TB facts: the dimension
-    chain supplier→nation→region is pre-joined on the driver (it is tiny
-    and fully denormalizable), shipped to the object store ONCE as a
-    dense suppkey→region-code numpy array, and the lineitem fact table
-    streams through one map_batches that does an O(1) vectorized
-    take-lookup plus a per-batch partial revenue sum. Zero shuffle on
-    the fact side; the only groupby moves ≤ |regions| rows per block."""
-    import ray
+    chain supplier→nation→region collapses to one region code per
+    supplier (nation→region is a tiny in-memory map), the lineitem
+    fact picks its code up through ``join.dense_lookup`` on l_suppkey
+    (a broadcast dense array, or a hash join when the keys are too
+    sparse for one), and one grouped sum per region follows. Zero
+    shuffle on the fact side in the dense tier; the only grouped
+    shuffle moves ≤ |regions| rows per block."""
+    import pandas as pd
     import ray.data as rd
     import pyarrow.compute as pc
     import pyarrow.parquet as pq
-    import numpy as np
-    from ray.data.aggregate import Sum
+    from ocr_table_extractor_to_csv_ray.functions.agg import grouped_agg_lowcard
+    from ocr_table_extractor_to_csv_ray.functions.join import dense_lookup
 
-    sup = pq.read_table(os.path.join(sf_dir, "supplier.parquet"),
-                        columns=["s_suppkey", "s_nationkey"]).to_pandas()
     nat = pq.read_table(os.path.join(sf_dir, "nation.parquet"),
                         columns=["n_nationkey", "n_regionkey"]).to_pandas()
     reg = pq.read_table(os.path.join(sf_dir, "region.parquet"),
                         columns=["r_regionkey", "r_name"]).to_pandas()
-    dim = (sup.merge(nat, left_on="s_nationkey", right_on="n_nationkey")
-              .merge(reg, left_on="n_regionkey", right_on="r_regionkey"))
-    # dense lookup: suppkey → region code (int8), code → name; at real
-    # scale the array is |suppliers| bytes — broadcast once via ray.put,
-    # NOT re-shipped per batch (map_batches captures only the ObjectRef)
     names = reg["r_name"].sort_values().to_numpy()
     code_of = {n: i for i, n in enumerate(names)}
-    lut = np.full(int(dim["s_suppkey"].max()) + 1, -1, dtype=np.int8)
-    lut[dim["s_suppkey"].to_numpy()] = (
-        dim["r_name"].map(code_of).to_numpy().astype(np.int8))
-    lut_ref = ray.put(lut)
+    dim = nat.merge(reg, left_on="n_regionkey", right_on="r_regionkey")
+    region_of = dict(zip(dim["n_nationkey"], dim["r_name"].map(code_of)))
+
+    def region_code(sup: pa.Table):
+        return pd.Series(sup["s_nationkey"].to_numpy()).map(region_of)
 
     li = rd.read_parquet(os.path.join(sf_dir, "lineitem.parquet"),
                          columns=["l_suppkey", "l_extendedprice",
                                   "l_discount"])
+    li = dense_lookup(li, "l_suppkey", os.path.join(sf_dir, "supplier.parquet"),
+                      "s_suppkey", region_code, "region",
+                      columns=["s_nationkey"])
 
-    def partial(t: pa.Table) -> pa.Table:
-        table = ray.get(lut_ref)
-        keys = t["l_suppkey"].to_numpy()
-        if keys.size and (keys.min() < 0 or keys.max() >= table.size
-                          or table[keys].min() < 0):
-            # a fact row referencing an unknown dimension key would
-            # silently wrap into sums[-1] — fail loudly instead
-            raise ValueError("star join: l_suppkey outside the "
-                             "broadcast supplier dimension")
-        codes = table[keys]
-        cents = pc.cast(pc.floor(pc.multiply(pc.multiply(
-            t["l_extendedprice"],
-            pc.subtract(pa.scalar(1.0), t["l_discount"])),
-            pa.scalar(100.0))), pa.int64()).to_numpy()
-        sums = np.zeros(len(names), dtype=np.int64)
-        np.add.at(sums, codes, cents)
-        # inner-join semantics (ADVICE r3): a region no fact row touched
-        # must NOT surface as revenue 0 — emit only contributing regions
-        hits = np.zeros(len(names), dtype=np.int64)
-        np.add.at(hits, codes, 1)
-        nz = hits > 0
-        return pa.table({"r_name": pa.array(names[nz]),
-                         "cents": pa.array(sums[nz], type=pa.int64())})
+    def prep(t: pa.Table) -> pa.Table:
+        return pa.table({"r_name": pc.take(pa.array(names), t["region"]),
+                         "cents": _revenue_cents(t)})
 
-    return (li.map_batches(partial, batch_format="pyarrow")
-              .groupby("r_name")
-              .aggregate(Sum("cents", alias_name="revenue_cents")))
+    return grouped_agg_lowcard(li.map_batches(prep, batch_format="pyarrow"),
+                               "r_name", {"revenue_cents": ("cents", "sum")})
 
 
 def _promo_revenue_share(sf_dir: str):
     """TPC-H-Q14-shaped promo revenue share: the part dimension is
-    projected to ONE BIT per partkey (is p_type PROMO), broadcast once
-    as a dense int8 array, and the date-windowed lineitem fact streams
-    through a zero-shuffle map_batches (predicate pushed into the scan)
-    emitting 1-row integer partials; the share is integer basis points
-    (all-integer floor division) so the single output row is
-    engine-portable bit-for-bit."""
+    projected to ONE BIT per partkey (is p_type PROMO) that
+    ``join.dense_lookup`` attaches to the date-windowed lineitem fact
+    (predicate pushed into the scan), which emits 1-row integer
+    partials; the share is integer basis points (all-integer floor
+    division) so the single output row is engine-portable
+    bit-for-bit."""
     import datetime as dt
-    import ray
     import ray.data as rd
     import pyarrow.compute as pc
     import pyarrow.dataset as pads
-    import pyarrow.parquet as pq
-    import numpy as np
     import pandas as pd
     from ray.data.aggregate import Sum
-
-    part = pq.read_table(os.path.join(sf_dir, "part.parquet"),
-                         columns=["p_partkey", "p_type"])
-    lut = np.full(int(pc.max(part["p_partkey"]).as_py()) + 1, -1,
-                  dtype=np.int8)
-    lut[part["p_partkey"].to_numpy()] = pc.starts_with(
-        part["p_type"], "PROMO").to_numpy(zero_copy_only=False).astype(np.int8)
-    lut_ref = ray.put(lut)
+    from ocr_table_extractor_to_csv_ray.functions.join import dense_lookup
 
     li = rd.read_parquet(
         os.path.join(sf_dir, "lineitem.parquet"),
         columns=["l_partkey", "l_extendedprice", "l_discount"],
         filter=(pads.field("l_shipdate") >= dt.datetime(1996, 1, 1))
                & (pads.field("l_shipdate") < dt.datetime(1997, 1, 1)))
+    li = dense_lookup(li, "l_partkey", os.path.join(sf_dir, "part.parquet"),
+                      "p_partkey",
+                      lambda part: pc.starts_with(part["p_type"], "PROMO"),
+                      "promo", columns=["p_type"])
 
     def partial(t: pa.Table) -> pa.Table:
-        table = ray.get(lut_ref)
-        keys = t["l_partkey"].to_numpy()
-        if keys.size and (keys.min() < 0 or keys.max() >= table.size
-                          or table[keys].min() < 0):
-            raise ValueError("promo share: l_partkey outside the "
-                             "broadcast part dimension")
-        promo = table[keys].astype(np.int64)
-        cents = pc.cast(pc.floor(pc.multiply(pc.multiply(
-            t["l_extendedprice"],
-            pc.subtract(pa.scalar(1.0), t["l_discount"])),
-            pa.scalar(100.0))), pa.int64()).to_numpy()
+        cents = _revenue_cents(t).to_numpy()
+        promo = t["promo"].to_numpy()
         return pa.table({
             "promo_cents": pa.array([int((cents * promo).sum())], pa.int64()),
             "total_cents": pa.array([int(cents.sum())], pa.int64()),
@@ -1296,36 +1194,28 @@ def _promo_revenue_share(sf_dir: str):
 
 
 def _top_supplier_revenue(sf_dir: str):
-    """TPC-H-Q15-shaped global argmax: per-supplier revenue via
-    per-batch partial groupby → ONE key shuffle over pre-shrunk
-    partials; the aggregated per-supplier table (post-aggregate small —
-    |suppliers| rows, never the fact table) is materialized once
-    because it is consumed twice (global Max, then the tie-preserving
-    filter); winner names come from a PUSHED-DOWN dimension scan
-    (s_suppkey isin winners), so neither the fact nor the dimension
-    table is ever shuffled."""
+    """TPC-H-Q15-shaped global argmax: per-supplier revenue via one
+    grouped sum (per-batch partials → ONE key shuffle); the aggregated
+    per-supplier table (post-aggregate small — |suppliers| rows, never
+    the fact table) is materialized once because it is consumed twice
+    (global Max, then the tie-preserving filter); winner names come
+    from a PUSHED-DOWN dimension scan (s_suppkey isin winners), so
+    neither the fact nor the dimension table is ever shuffled."""
     import ray.data as rd
     import pyarrow.compute as pc
     import pyarrow.dataset as pads
-    import pandas as pd
-    from ray.data.aggregate import Max, Sum
+    from ray.data.aggregate import Max
+    from ocr_table_extractor_to_csv_ray.functions.agg import grouped_sum
 
     li = rd.read_parquet(os.path.join(sf_dir, "lineitem.parquet"),
                          columns=["l_suppkey", "l_extendedprice",
                                   "l_discount"])
 
-    def partial(t: pa.Table) -> pa.Table:
-        cents = pc.cast(pc.floor(pc.multiply(pc.multiply(
-            t["l_extendedprice"],
-            pc.subtract(pa.scalar(1.0), t["l_discount"])),
-            pa.scalar(100.0))), pa.int64())
-        g = (pa.table({"s_suppkey": t["l_suppkey"], "cents": cents})
-             .group_by("s_suppkey").aggregate([("cents", "sum")]))
-        return pa.table({"s_suppkey": g["s_suppkey"],
-                         "cents": pc.cast(g["cents_sum"], pa.int64())})
+    def prep(t: pa.Table) -> pa.Table:
+        return pa.table({"s_suppkey": t["l_suppkey"],
+                         "cents": _revenue_cents(t)})
 
-    from ocr_table_extractor_to_csv_ray.functions.agg import grouped_sum
-    rev = (grouped_sum(li.map_batches(partial, batch_format="pyarrow"),
+    rev = (grouped_sum(li.map_batches(prep, batch_format="pyarrow"),
                        "s_suppkey", {"cents": "total_revenue_cents"},
                        num_buckets=16)
            .materialize())
@@ -1346,69 +1236,55 @@ def _top_supplier_revenue(sf_dir: str):
 
 def _supplier_distinct_parts(sf_dir: str):
     """TPC-H-Q16-shaped distributed COUNT DISTINCT: suppliers per
-    (p_brand, p_size). The part dimension collapses to ONE int32 code
-    per partkey (index into the distinct (brand, size) pair table),
-    broadcast once; each fact batch locally dedups fused
-    (pair_code << 40 | suppkey) keys (np.unique — the per-batch
-    combiner that makes the one big shuffle move distinct keys, not
-    rows); groupby(fused) finishes the global dedup, then a second
-    TINY shuffle (≤ |pairs| rows per block) counts suppliers per pair."""
-    import ray
+    (p_brand, p_size). ``join.dense_lookup`` gives each fact row the
+    code of its part's (brand, size) pair (index into the sorted
+    distinct pairs); one grouped aggregate dedups the fused
+    (pair_code << 40 | suppkey) keys, and a second, tiny one (≤ |pairs|
+    rows per block) counts suppliers per pair."""
+    import pandas as pd
     import ray.data as rd
     import pyarrow.compute as pc
     import pyarrow.parquet as pq
     import numpy as np
-    from ray.data.aggregate import Count, Sum
+    from ocr_table_extractor_to_csv_ray.functions.agg import (
+        grouped_agg, grouped_agg_lowcard)
+    from ocr_table_extractor_to_csv_ray.functions.join import dense_lookup
 
-    part = pq.read_table(os.path.join(sf_dir, "part.parquet"),
-                         columns=["p_partkey", "p_brand", "p_size"]
-                         ).to_pandas()
-    pairs = (part[["p_brand", "p_size"]].drop_duplicates()
+    part_path = os.path.join(sf_dir, "part.parquet")
+    pairs = (pq.read_table(part_path, columns=["p_brand", "p_size"])
+             .to_pandas().drop_duplicates()
              .sort_values(["p_brand", "p_size"]).reset_index(drop=True))
-    pair_of = {(b, s): i for i, (b, s) in
-               enumerate(zip(pairs["p_brand"], pairs["p_size"]))}
     if len(pairs) >= (1 << 23):
         raise ValueError("distinct (brand,size) domain too wide for the "
                          "fused-key encoding — raise the shift")
-    code = np.full(int(part["p_partkey"].max()) + 1, -1, dtype=np.int32)
-    code[part["p_partkey"].to_numpy()] = [
-        pair_of[(b, s)] for b, s in zip(part["p_brand"], part["p_size"])]
-    lut_ref = ray.put(code)
+    pair_index = pd.MultiIndex.from_frame(pairs)
+
+    def pair_code(part: pa.Table):
+        return pair_index.get_indexer(pd.MultiIndex.from_arrays(
+            [part["p_brand"].to_numpy(), part["p_size"].to_numpy()]))
 
     li = rd.read_parquet(os.path.join(sf_dir, "lineitem.parquet"),
                          columns=["l_partkey", "l_suppkey"])
+    li = dense_lookup(li, "l_partkey", part_path, "p_partkey", pair_code,
+                      "pair", columns=["p_brand", "p_size"])
 
     def fuse(t: pa.Table) -> pa.Table:
-        table = ray.get(lut_ref)
-        pk = t["l_partkey"].to_numpy()
         sk = t["l_suppkey"].to_numpy()
-        if pk.size and (pk.min() < 0 or pk.max() >= table.size
-                        or table[pk].min() < 0):
-            raise ValueError("distinct parts: l_partkey outside the "
-                             "broadcast part dimension")
         if sk.size and (sk.min() < 0 or sk.max() >= (1 << 40)):
             raise ValueError("distinct parts: l_suppkey outside the "
                              "fused-key range [0, 2^40)")
-        fused = (table[pk].astype(np.int64) << 40) | sk.astype(np.int64)
-        return pa.table({"fused": pa.array(np.unique(fused))})
+        return pa.table({"fused": (t["pair"].to_numpy() << 40) | sk})
 
-    from ocr_table_extractor_to_csv_ray.functions.agg import grouped_agg
     # distributed DISTINCT via grouped_agg (fused-key cardinality ~
     # |part×supp| — the native aggregate's per-row combine is the
     # measured bottleneck at this group count; functions/agg.py)
     distinct = grouped_agg(li.map_batches(fuse, batch_format="pyarrow"),
                            "fused", {}, num_buckets=32, count="_n")
-
-    def pair_partial(t: pa.Table) -> pa.Table:
-        pc_codes = (t["fused"].to_numpy() >> 40).astype(np.int64)
-        cnt = np.bincount(pc_codes, minlength=len(pairs)).astype(np.int64)
-        nz = np.nonzero(cnt)[0]
-        return pa.table({"pair_code": pa.array(nz.astype(np.int64)),
-                         "n": pa.array(cnt[nz])})
-
-    counts = (distinct.map_batches(pair_partial, batch_format="pyarrow")
-              .groupby("pair_code")
-              .aggregate(Sum("n", alias_name="n_suppliers")))
+    counts = grouped_agg_lowcard(
+        distinct.map_batches(lambda t: pa.table(
+            {"pair_code": pc.shift_right(t["fused"], 40)}),
+            batch_format="pyarrow"),
+        "pair_code", {}, count="n_suppliers")
 
     brand_arr = pairs["p_brand"].to_numpy()
     size_arr = pairs["p_size"].to_numpy().astype(np.int32)
@@ -1418,7 +1294,7 @@ def _supplier_distinct_parts(sf_dir: str):
         return pa.table({
             "p_brand": pa.array(brand_arr[idx], pa.string()),
             "p_size": pa.array(size_arr[idx], pa.int32()),
-            "n_suppliers": pc.cast(t["n_suppliers"], pa.int64()),
+            "n_suppliers": t["n_suppliers"],
         })
 
     return counts.map_batches(decode, batch_format="pyarrow")
@@ -1568,9 +1444,9 @@ def _graph_components(sf_dir: str):
 def _large_order_customers(sf_dir: str):
     """TPC-H-Q18-shaped: orders whose total lineitem quantity exceeds a
     threshold, joined back to orders + customer. The fact table shrinks
-    FIRST (per-batch partial sums per orderkey → one groupby → HAVING
-    filter), so the join inputs are the ~6 %-selective qualifying set,
-    never raw lineitem; both join sides then go through the explicit
+    FIRST (one grouped sum per orderkey → HAVING filter), so the join
+    inputs are the ~6 %-selective qualifying set, never raw lineitem;
+    both join sides then go through the explicit
     bucketed hash_join (threshold selectivity is data-dependent, so no
     driver-side collect / broadcast of the qualifying keys)."""
     import ray.data as rd
@@ -1580,22 +1456,16 @@ def _large_order_customers(sf_dir: str):
 
     li = rd.read_parquet(os.path.join(sf_dir, "lineitem.parquet"),
                          columns=["l_orderkey", "l_quantity"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        g = t.group_by("l_orderkey").aggregate([("l_quantity", "sum")])
-        return pa.table({"o_orderkey": g["l_orderkey"],
-                         "qty": g["l_quantity_sum"]})
-
     # grouped_sum over the ~n_orders key space (float sums of integral
     # quantities are exact at any addition order, so the two-level sum
     # is bit-equal to the oracle's)
-    big = (grouped_sum(li.map_batches(partial, batch_format="pyarrow"),
-                       "o_orderkey", ["qty"], num_buckets=16)
+    big = (grouped_sum(li, "l_orderkey", {"l_quantity": "qty"},
+                       num_buckets=16)
            .filter(expr="qty > 200"))
 
     def finish_qty(t: pa.Table) -> pa.Table:
         return pa.table({
-            "o_orderkey": t["o_orderkey"],
+            "o_orderkey": t["l_orderkey"],
             "total_qty": pc.cast(pc.round(t["qty"]), pa.int64())})
 
     big = big.map_batches(finish_qty, batch_format="pyarrow")
@@ -1735,42 +1605,32 @@ def _doc_token_commonness(sf_dir: str):
 
 def _token_bigram_counts(sf_dir: str):
     """Exact top-20 adjacent token bigrams — the inner loop of one BPE
-    tokenizer-training round, distributed: per-batch vectorized pair
-    counting (shifted token arrays + pandas group-size, no Python
-    loop) → one bigram-vocabulary groupby → per-batch partial top-k →
-    one tiny final top-k (same two-stage top-k contract as
-    functions/sketch.top_terms)."""
-    import ray.data as rd
+    tokenizer-training round, distributed: vectorized adjacent pairs
+    (shifted token arrays, no Python loop) → one bigram-vocabulary
+    grouped count → per-batch partial top-k → one tiny final top-k
+    (same two-stage top-k contract as functions/sketch.top_terms)."""
     import pandas as pd
     import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
 
     docs = _docs(sf_dir, ["text"])
     k = 20
 
-    def pair_partial(t: pa.Table) -> pa.Table:
+    def pairs(t: pa.Table) -> pa.Table:
         toks = pc.split_pattern_regex(
             pc.utf8_trim_whitespace(t["text"]), r"\s+")
         toks = (toks.combine_chunks()
                 if isinstance(toks, pa.ChunkedArray) else toks)
         n = pc.list_value_length(toks).to_numpy(zero_copy_only=False)
-        flat = toks.flatten().to_numpy(zero_copy_only=False)
+        flat = toks.flatten()
         doc = np.repeat(np.arange(len(n)), n)
         # adjacent pairs within a doc: positions i, i+1 with same doc
         keep = np.nonzero(doc[:-1] == doc[1:])[0]
-        df = pd.DataFrame({"w1": flat[keep], "w2": flat[keep + 1]})
-        g = df.groupby(["w1", "w2"], as_index=False).size()
-        # empty batches must still carry string-typed columns or the
-        # block-schema union degrades to null type
-        return pa.table({"w1": pa.array(g["w1"], pa.string()),
-                         "w2": pa.array(g["w2"], pa.string()),
-                         "n": pa.array(g["size"].astype("int64"))})
+        return pa.table({"w1": flat.take(keep), "w2": flat.take(keep + 1)})
 
-    from ocr_table_extractor_to_csv_ray.functions.agg import grouped_sum
-    # bigram-vocabulary-wide sum via grouped_sum (functions/agg.py)
-    summed = grouped_sum(docs.map_batches(pair_partial,
-                                          batch_format="pyarrow"),
-                         ["w1", "w2"], ["n"], num_buckets=16)
+    from ocr_table_extractor_to_csv_ray.functions.agg import grouped_agg
+    # bigram-vocabulary-wide count via grouped_agg (functions/agg.py)
+    summed = grouped_agg(docs.map_batches(pairs, batch_format="pyarrow"),
+                         ["w1", "w2"], {}, num_buckets=16, count="n")
 
     def local_topk(t: pa.Table) -> pa.Table:
         df = t.to_pandas().sort_values(
@@ -1954,46 +1814,33 @@ def _consistent_sample(sf_dir: str):
 
 def _customer_order_counts(sf_dir: str):
     """TPC-H-Q13-shaped distribution: orders per customer INCLUDING
-    zero-order customers (left outer), histogrammed. The orders side is
-    pre-shrunk to (custkey, n) partials inside map_batches before the
-    only key-shuffle; the left join pads non-buyers with 0; the final
-    histogram is again partial-aggregated so the last groupby moves
-    ≤ |distinct counts| rows per block."""
+    zero-order customers (left outer), histogrammed. The orders side
+    shrinks to (custkey, n) through one grouped count before the join;
+    the left join pads non-buyers with 0; a second grouped count
+    builds the histogram, moving ≤ |distinct counts| rows per block."""
     import ray.data as rd
     import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
+    from ocr_table_extractor_to_csv_ray.functions.agg import (
+        grouped_agg, grouped_agg_lowcard)
     from ocr_table_extractor_to_csv_ray.functions.join import hash_join
 
     orders = rd.read_parquet(os.path.join(sf_dir, "orders.parquet"),
                              columns=["o_custkey"])
-
-    def o_partial(t: pa.Table) -> pa.Table:
-        g = t.group_by("o_custkey").aggregate([("o_custkey", "count")])
-        return pa.table({"c_custkey": g["o_custkey"],
-                         "n": pc.cast(g["o_custkey_count"], pa.int64())})
-
-    from ocr_table_extractor_to_csv_ray.functions.agg import grouped_sum
-    counts = grouped_sum(orders.map_batches(o_partial,
-                                            batch_format="pyarrow"),
-                         "c_custkey", ["n"], num_buckets=16)
-
-    cust = rd.read_parquet(os.path.join(sf_dir, "customer.parquet"),
-                           columns=["c_custkey"])
-    joined = hash_join(cust, counts, key="c_custkey", num_buckets=16,
+    counts = grouped_agg(orders, "o_custkey", {}, num_buckets=16, count="n")
+    cust = (rd.read_parquet(os.path.join(sf_dir, "customer.parquet"),
+                            columns=["c_custkey"])
+            .map_batches(lambda t: t.rename_columns(["o_custkey"]),
+                         batch_format="pyarrow"))
+    joined = hash_join(cust, counts, key="o_custkey", num_buckets=16,
                        how="left")
 
-    def hist_partial(b) -> pa.Table:
-        # unmatched customers carry a null n (NaN once in pandas);
-        # fill 0 and restore int64 before binning
-        n = b["n"].fillna(0).astype("int64")
-        vc = n.value_counts()
-        return pa.table({"n_orders": pa.array(vc.index.to_numpy(),
-                                              type=pa.int64()),
-                         "c": pa.array(vc.to_numpy(), type=pa.int64())})
+    def n_orders(t: pa.Table) -> pa.Table:
+        # unmatched customers carry a null n
+        return pa.table({"n_orders": pc.fill_null(t["n"], 0)})
 
-    return (joined.map_batches(hist_partial, batch_format="pandas")
-            .groupby("n_orders")
-            .aggregate(Sum("c", alias_name="n_customers")))
+    return grouped_agg_lowcard(
+        joined.map_batches(n_orders, batch_format="pyarrow"), "n_orders", {},
+        count="n_customers")
 
 
 def _customers_without_orders(sf_dir: str):
@@ -2055,9 +1902,9 @@ def _events_latest_state(sf_dir: str):
 
 def _doc_rank_by_length(sf_dir: str):
     """Global rank WITHOUT a global sort: rank() semantics over a
-    bounded-cardinality key via a histogram CDF. Pass 1 builds per-batch
-    value counts of n_chars and reduces them in a tiny groupby (the
-    result is |distinct lengths| rows, not |docs|); the driver cumsums
+    bounded-cardinality key via a histogram CDF. Pass 1 counts each
+    n_chars value in one grouped count (the result is |distinct
+    lengths| rows, not |docs|); the driver cumsums
     that histogram once and broadcasts (values, count-below) via
     ray.put; pass 2 streams the table again assigning
     rank = 1 + count_below via vectorized searchsorted. At 100 TB the
@@ -2068,19 +1915,11 @@ def _doc_rank_by_length(sf_dir: str):
     import ray
     import ray.data as rd
     import numpy as np
-    import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
+    from ocr_table_extractor_to_csv_ray.functions.agg import grouped_agg_lowcard
 
     path = os.path.join(sf_dir, "documents.parquet")
     docs = rd.read_parquet(path, columns=["doc_id", "n_chars"])
-
-    def vc_partial(t: pa.Table) -> pa.Table:
-        g = t.group_by("n_chars").aggregate([("n_chars", "count")])
-        return pa.table({"n_chars": g["n_chars"],
-                         "c": pc.cast(g["n_chars_count"], pa.int64())})
-
-    hist = (docs.map_batches(vc_partial, batch_format="pyarrow")
-            .groupby("n_chars").aggregate(Sum("c", alias_name="c"))
+    hist = (grouped_agg_lowcard(docs, "n_chars", {}, count="c")
             .to_pandas().sort_values("n_chars"))
     vals = hist["n_chars"].to_numpy()
     cum = np.cumsum(hist["c"].to_numpy())
@@ -2101,35 +1940,25 @@ def _doc_rank_by_length(sf_dir: str):
 
 def _corpus_rollup(sf_dir: str):
     """ROLLUP(lang, source) derived from the FINEST grain only: one
-    streaming pass computes per-batch (lang, source) partials reduced by
-    a tiny groupby; the coarser levels re-aggregate that small result —
-    the 100 TB input is read once no matter how many rollup levels.
+    streaming pass computes the (lang, source) grouped aggregate; the
+    coarser levels re-aggregate that small result — the 100 TB input
+    is read once no matter how many rollup levels.
     Upper levels carry NULL in the rolled-up columns, matching SQL
     ROLLUP output."""
     import ray.data as rd
-    import pyarrow.compute as pc
     from ray.data.aggregate import Sum
+    from ocr_table_extractor_to_csv_ray.functions.agg import grouped_agg_lowcard
 
     path = os.path.join(sf_dir, "documents.parquet")
     docs = rd.read_parquet(path, columns=["lang", "source", "n_chars"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        g = t.group_by(["lang", "source"]).aggregate(
-            [("n_chars", "sum"), ("n_chars", "count")])
-        return pa.table({
-            "lang": g["lang"], "source": g["source"],
-            "chars": pc.cast(g["n_chars_sum"], pa.int64()),
-            "docs": pc.cast(g["n_chars_count"], pa.int64()),
-        })
 
     # materialize the TINY (lang, source) aggregate once: it feeds three
     # consumers (full-schema map, by-lang rollup, grand total) which
     # would otherwise each replay the full documents scan + shuffle
     # (ADVICE r3). Cached size = n_lang × n_source rows, not the corpus.
-    finest = (docs.map_batches(partial, batch_format="pyarrow")
-              .groupby(["lang", "source"])
-              .aggregate(Sum("chars", alias_name="chars"),
-                         Sum("docs", alias_name="docs"))).materialize()
+    finest = grouped_agg_lowcard(docs, ["lang", "source"],
+                                 {"chars": ("n_chars", "sum")},
+                                 count="docs").materialize()
 
     schema = pa.schema([("lang", pa.string()), ("source", pa.string()),
                         ("chars", pa.int64()), ("docs", pa.int64())])
@@ -2164,37 +1993,31 @@ _FUNNEL_SENTINEL = (1 << 62)
 
 def _funnel_conversion(sf_dir: str):
     """First-touch ordered funnel view → click → purchase. Stage 1:
-    per-batch conditional-min partials per user (3 sentinel-padded int64
-    columns — a user's million events leave each block as one row) →
-    per-user groupby Min. Stage 2: per-batch flag counts → keyless Sum.
+    conditional minima per user (3 sentinel-padded int64 columns, one
+    grouped min — a user's million events leave each block as one
+    row). Stage 2: per-batch flag counts → keyless Sum.
     Two shuffles, both at per-user grain or smaller; the event table
     itself never shuffles."""
     import ray.data as rd
     import numpy as np
     import pyarrow.compute as pc
-    from ray.data.aggregate import Min, Sum
+    from ray.data.aggregate import Sum
+    from ocr_table_extractor_to_csv_ray.functions.agg import grouped_agg
 
     S = _FUNNEL_SENTINEL
     ev = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
                          columns=["user_id", "event_type", "ts"])
+    steps = ("t_view", "t_click", "t_purchase")
 
-    def partial_min(b) -> pa.Table:
-        t = b["ts"].astype("int64")
-        frame = {"user_id": b["user_id"].to_numpy()}
-        for step in ("view", "click", "purchase"):
-            frame[f"t_{step}"] = np.where(
-                (b["event_type"] == step).to_numpy(), t.to_numpy(), S)
-        import pandas as pd
-        g = pd.DataFrame(frame).groupby("user_id", as_index=False).min()
-        for c in ("t_view", "t_click", "t_purchase"):
-            g[c] = g[c].astype("int64")
-        return pa.Table.from_pandas(g, preserve_index=False)
+    def touches(t: pa.Table) -> pa.Table:
+        ts = pc.cast(t["ts"], pa.int64()).to_numpy()
+        et = t["event_type"].to_numpy(zero_copy_only=False)
+        return pa.table({"user_id": t["user_id"], **{
+            c: np.where(et == c[2:], ts, S) for c in steps}})
 
-    mins = (ev.map_batches(partial_min, batch_format="pandas")
-            .groupby("user_id")
-            .aggregate(Min("t_view", alias_name="t_view"),
-                       Min("t_click", alias_name="t_click"),
-                       Min("t_purchase", alias_name="t_purchase")))
+    mins = grouped_agg(ev.map_batches(touches, batch_format="pyarrow"),
+                       "user_id", {c: (c, "min") for c in steps},
+                       num_buckets=16)
 
     def flags(t: pa.Table) -> pa.Table:
         v = t["t_view"].to_numpy()
@@ -2227,11 +2050,11 @@ def _user_retention_cohorts(sf_dir: str):
     shrink BEFORE the only per-user shuffle (a user's thousandth event
     in a week adds nothing to the exchange); cohort = min(week) inside
     map_groups — no join back, because week(min ts) ≡ min(week); the
-    final matrix aggregation is again partial-first."""
+    final matrix is one grouped count."""
     import ray.data as rd
     import numpy as np
     import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
+    from ocr_table_extractor_to_csv_ray.functions.agg import grouped_agg_lowcard
 
     ev = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
                          columns=["user_id", "ts"])
@@ -2258,24 +2081,14 @@ def _user_retention_cohorts(sf_dir: str):
                 .groupby("user_id")
                 .map_groups(offsets, batch_format="pandas"))
 
-    def count_partial(t: pa.Table) -> pa.Table:
-        g = t.group_by(["cohort_week", "week_offset"]).aggregate(
-            [("cohort_week", "count")])
-        return pa.table({
-            "cohort_week": g["cohort_week"],
-            "week_offset": g["week_offset"],
-            "c": pc.cast(g["cohort_week_count"], pa.int64()),
-        })
-
-    return (per_user.map_batches(count_partial, batch_format="pyarrow")
-            .groupby(["cohort_week", "week_offset"])
-            .aggregate(Sum("c", alias_name="n_users")))
+    return grouped_agg_lowcard(per_user, ["cohort_week", "week_offset"], {},
+                               count="n_users")
 
 
 def _docs_above_lang_avg(sf_dir: str):
     """Correlated-subquery shape ("rows above their group's average")
     WITHOUT a join: pass 1 computes exact int64 (sum, count) per lang —
-    a tiny partial-aggregated groupby; the driver derives each group's
+    one tiny grouped aggregate; the driver derives each group's
     mean with ONE double division (both engines divide the same exact
     integers, so the float compares identically) and broadcasts the
     small map; pass 2 streams the table filtering vectorized. The
@@ -2284,25 +2097,12 @@ def _docs_above_lang_avg(sf_dir: str):
     import ray
     import ray.data as rd
     import numpy as np
-    import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
+    from ocr_table_extractor_to_csv_ray.functions.agg import grouped_agg_lowcard
 
     path = os.path.join(sf_dir, "documents.parquet")
     docs = rd.read_parquet(path, columns=["doc_id", "lang", "n_chars"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        g = t.group_by("lang").aggregate(
-            [("n_chars", "sum"), ("n_chars", "count")])
-        return pa.table({
-            "lang": g["lang"],
-            "s": pc.cast(g["n_chars_sum"], pa.int64()),
-            "c": pc.cast(g["n_chars_count"], pa.int64()),
-        })
-
-    agg = (docs.map_batches(partial, batch_format="pyarrow")
-           .groupby("lang").aggregate(Sum("s", alias_name="s"),
-                                      Sum("c", alias_name="c"))
-           .to_pandas())
+    agg = grouped_agg_lowcard(docs, "lang", {"s": ("n_chars", "sum")},
+                              count="c").to_pandas()
     avg = {r.lang: r.s / r.c for r in agg.itertuples()}
     avg_ref = ray.put(avg)
 
@@ -2351,9 +2151,9 @@ _PIVOT_TYPES = ("click", "error", "purchase", "signup", "view")
 def _user_feature_pivot(sf_dir: str):
     """Wide conditional-aggregation pivot — the feature-engineering
     staple (one row per user, one count + value column per event
-    type). The pivot happens INSIDE the per-batch partial (vectorized
-    one-hot multiply), so the shuffle carries the already-wide small
-    rows and the final groupby is plain Sums; event types are a fixed
+    type). The pivot is a vectorized one-hot map ahead of one grouped
+    sum, whose per-batch partial shrinks the wide rows to one per user
+    before the shuffle; event types are a fixed
     vocabulary (the schema contract of any pivot)."""
     import ray.data as rd
     import numpy as np
@@ -2361,21 +2161,19 @@ def _user_feature_pivot(sf_dir: str):
     ev = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
                          columns=["user_id", "event_type", "value"])
 
-    def partial(b) -> "pa.Table":
-        import pandas as pd
+    def onehot(b: pa.Table) -> pa.Table:
         cents = np.floor(b["value"].to_numpy() * 100.0).astype(np.int64)
-        et = b["event_type"].to_numpy()
-        cols = {"user_id": b["user_id"].to_numpy()}
+        et = b["event_type"].to_numpy(zero_copy_only=False)
+        cols = {"user_id": b["user_id"]}
         for t in _PIVOT_TYPES:
-            onehot = (et == t)
-            cols[f"n_{t}"] = onehot.astype(np.int64)
-            cols[f"cents_{t}"] = np.where(onehot, cents, 0)
-        g = pd.DataFrame(cols).groupby("user_id", as_index=False).sum()
-        return pa.Table.from_pandas(g, preserve_index=False)
+            hit = (et == t)
+            cols[f"n_{t}"] = hit.astype(np.int64)
+            cols[f"cents_{t}"] = np.where(hit, cents, 0)
+        return pa.table(cols)
 
     from ocr_table_extractor_to_csv_ray.functions.agg import grouped_sum
     sum_cols = [c for t in _PIVOT_TYPES for c in (f"n_{t}", f"cents_{t}")]
-    return grouped_sum(ev.map_batches(partial, batch_format="pandas"),
+    return grouped_sum(ev.map_batches(onehot, batch_format="pyarrow"),
                        "user_id", sum_cols, num_buckets=16)
 
 
@@ -2429,11 +2227,8 @@ def _important_parts(sf_dir: str):
                                   "l_discount"])
 
     def prep(t: pa.Table) -> pa.Table:
-        cents = pc.cast(pc.floor(pc.multiply(
-            pc.multiply(t["l_extendedprice"],
-                        pc.subtract(pa.scalar(1.0), t["l_discount"])),
-            pa.scalar(100.0))), pa.int64())
-        return pa.table({"l_partkey": t["l_partkey"], "c": cents})
+        return pa.table({"l_partkey": t["l_partkey"],
+                         "c": _revenue_cents(t)})
 
     rev = grouped_sum(li.map_batches(prep, batch_format="pyarrow"),
                       "l_partkey", {"c": "value_cents"},
@@ -2493,11 +2288,10 @@ def _late_shipment_priority(sf_dir: str):
     never be duplicated the way a join-then-filter plan would."""
     import datetime as _dt
 
-    import pyarrow.compute as pc
     import pyarrow.dataset as pads
     import ray.data as rd
-    from ray.data.aggregate import Sum
 
+    from ocr_table_extractor_to_csv_ray.functions.agg import grouped_agg_lowcard
     from ocr_table_extractor_to_csv_ray.functions.join import hash_semi_join
 
     orders = rd.read_parquet(
@@ -2513,18 +2307,8 @@ def _late_shipment_priority(sf_dir: str):
         lambda t: pa.table({"o_orderkey": t["l_orderkey"]}),
         batch_format="pyarrow")
     hit = hash_semi_join(orders, heavy, key="o_orderkey")
-
-    def partial(t: pa.Table) -> pa.Table:
-        g = (t.select(["o_orderpriority"]).group_by("o_orderpriority")
-              .aggregate([("o_orderpriority", "count")]))
-        return pa.table({
-            "o_orderpriority": g["o_orderpriority"],
-            "n": pc.cast(g["o_orderpriority_count"], pa.int64()),
-        })
-
-    return (hit.map_batches(partial, batch_format="pyarrow")
-               .groupby("o_orderpriority")
-               .aggregate(Sum("n", alias_name="order_count")))
+    return grouped_agg_lowcard(hit, "o_orderpriority", {},
+                               count="order_count")
 
 
 def _idle_rich_customers(sf_dir: str):
@@ -2543,6 +2327,7 @@ def _idle_rich_customers(sf_dir: str):
     import ray.data as rd
     from ray.data.aggregate import Sum
 
+    from ocr_table_extractor_to_csv_ray.functions.agg import grouped_sum
     from ocr_table_extractor_to_csv_ray.functions.join import hash_semi_join
 
     cust_path = os.path.join(sf_dir, "customer.parquet")
@@ -2583,162 +2368,39 @@ def _idle_rich_customers(sf_dir: str):
              .map_batches(lambda t: pa.table({"c_custkey": t["o_custkey"]}),
                           batch_format="pyarrow"))
     idle = hash_semi_join(cust, okeys, key="c_custkey", anti=True)
-
-    def nation_partial(t: pa.Table) -> pa.Table:
-        g = (t.select(["c_nationkey", "cents"]).group_by("c_nationkey")
-              .aggregate([("cents", "sum"), ("cents", "count")]))
-        return pa.table({
-            "c_nationkey": pc.cast(g["c_nationkey"], pa.int32()),
-            "cents": pc.cast(g["cents_sum"], pa.int64()),
-            "n": pc.cast(g["cents_count"], pa.int64()),
-        })
-
-    out = (idle.map_batches(nation_partial, batch_format="pyarrow")
-               .groupby("c_nationkey")
-               .aggregate(Sum("n", alias_name="n_customers"),
-                          Sum("cents", alias_name="total_cents")))
-    def restore_dtype(t: pa.Table) -> pa.Table:
-        # the groupby upcasts its key — restore the column's input dtype
-        return pa.table({
-            "c_nationkey": pc.cast(t["c_nationkey"], pa.int32()),
-            "n_customers": t["n_customers"],
-            "total_cents": t["total_cents"],
-        })
-
-    return out.map_batches(restore_dtype, batch_format="pyarrow")
+    return grouped_sum(idle, "c_nationkey", {"cents": "total_cents"},
+                       num_buckets=8, count="n_customers")
 
 
 def _nation_trade_matrix(sf_dir: str):
     """TPC-H-Q7-shaped bilateral trade matrix: revenue per (customer
-    nation, supplier nation) pair. The supplier side decorates the
-    fact INSIDE its first map_batches via a broadcast dense
-    suppkey→nationkey LUT (zero shuffle on that axis) and the same
-    pass pre-sums to (orderkey, supp_nation) partials; the customer
-    side is size-adaptive — one bucketed hash join to orders always,
-    then either a broadcast dense custkey→nationkey LUT (≤2M
-    customers: decorate in-stream, second shuffle saved) or the
-    second bucketed join with the explicit int64 re-cast between the
-    chained joins (the dtype-bucketing trap). Nation names decorate
-    at the very end, after the matrix has shrunk to ≤ |nations|²
-    rows."""
-    import numpy as np
-    import pyarrow.compute as pc
+    nation, supplier nation) pair. ``join.dense_lookup`` gives each
+    lineitem row its supplier's nation (a broadcast dense array, or a
+    bucketed join when the key spread is too wide for one) and the same
+    pass pre-sums to (orderkey, supp_nation) partials; one bucketed
+    hash join to orders brings the custkey, and a second lookup the
+    customer's nation. Nation names decorate at the very end, after the
+    matrix has shrunk to ≤ |nations|² rows."""
     import pyarrow.parquet as pq
-    import ray
     import ray.data as rd
 
     from ocr_table_extractor_to_csv_ray.functions.agg import grouped_sum
-    from ocr_table_extractor_to_csv_ray.functions.join import hash_join
+    from ocr_table_extractor_to_csv_ray.functions.join import (
+        dense_lookup, hash_join)
 
-    sup_path = os.path.join(sf_dir, "supplier.parquet")
     li = rd.read_parquet(os.path.join(sf_dir, "lineitem.parquet"),
                          columns=["l_orderkey", "l_suppkey",
                                   "l_extendedprice", "l_discount"])
-
-    def _cents(t: pa.Table) -> pa.Array:
-        return pc.cast(pc.floor(pc.multiply(pc.multiply(
-            t["l_extendedprice"],
-            pc.subtract(pa.scalar(1.0), t["l_discount"])),
-            pa.scalar(100.0))), pa.int64())
-
-    def presum(t: pa.Table) -> pa.Table:
-        g = (t.group_by(["o_orderkey", "supp_nat"])
-              .aggregate([("cents", "sum")]))
-        return pa.table({"o_orderkey": g["o_orderkey"],
-                         "supp_nat": pc.cast(g["supp_nat"], pa.int64()),
-                         "cents": pc.cast(g["cents_sum"], pa.int64())})
-
-    # ADVICE r4: gate the broadcast tiers on the LUT *length*
-    # (max_key + 1, from parquet column statistics — free), not the row
-    # count: with sparse keys np.full(max+1) can allocate far beyond
-    # what the row count suggests.
-    smax = _pq_col_max(sup_path, "s_suppkey")
-    if smax is not None and smax + 1 <= _NTM_SUPP_LUT_MAX:
-        sup = pq.read_table(sup_path,
-                            columns=["s_suppkey", "s_nationkey"]).to_pandas()
-        lut = np.full(int(smax) + 1, -1, dtype=np.int16)
-        lut[sup["s_suppkey"].to_numpy()] = (
-            sup["s_nationkey"].to_numpy().astype(np.int16))
-        lut_ref = ray.put(lut)
-
-        def li_partial(t: pa.Table) -> pa.Table:
-            table = ray.get(lut_ref)
-            keys = t["l_suppkey"].to_numpy()
-            if keys.size and (keys.min() < 0 or keys.max() >= table.size
-                              or table[keys].min() < 0):
-                raise ValueError("trade matrix: l_suppkey outside the "
-                                 "broadcast supplier dimension")
-            return presum(pa.table({
-                "o_orderkey": t["l_orderkey"],
-                "supp_nat": pa.array(table[keys].astype(np.int64)),
-                "cents": _cents(t)}))
-
-        rev = li.map_batches(li_partial, batch_format="pyarrow")
-    else:
-        # supplier dimension too big (or stats missing) to broadcast
-        # densely: one bucketed join on l_suppkey, then the same
-        # per-batch (orderkey, supp_nat) pre-sum
-        def li_keyed(t: pa.Table) -> pa.Table:
-            return pa.table({"l_suppkey": pc.cast(t["l_suppkey"], pa.int64()),
-                             "o_orderkey": t["l_orderkey"],
-                             "cents": _cents(t)})
-
-        sup_ds = (rd.read_parquet(sup_path,
-                                  columns=["s_suppkey", "s_nationkey"])
-                  .map_batches(lambda t: pa.table({
-                      "l_suppkey": pc.cast(t["s_suppkey"], pa.int64()),
-                      "supp_nat": pc.cast(t["s_nationkey"], pa.int64())}),
-                      batch_format="pyarrow"))
-        jS = hash_join(li.map_batches(li_keyed, batch_format="pyarrow"),
-                       sup_ds, key="l_suppkey", num_buckets=16)
-        rev = jS.map_batches(
-            lambda t: presum(t.select(["o_orderkey", "supp_nat", "cents"])),
-            batch_format="pyarrow")
+    li = dense_lookup(li, "l_suppkey", os.path.join(sf_dir, "supplier.parquet"),
+                      "s_suppkey", "s_nationkey", "supp_nat")
+    rev = li.map_batches(lambda t: _order_cents(t, ("o_orderkey", "supp_nat")),
+                         batch_format="pyarrow")
     orders = rd.read_parquet(os.path.join(sf_dir, "orders.parquet"),
                              columns=["o_orderkey", "o_custkey"])
     j1 = hash_join(rev, orders, key="o_orderkey", num_buckets=16)
-
-    # size-adaptive customer decoration (pagerank/graph precedent): a
-    # dense custkey→nationkey LUT is |customers|×4 bytes — broadcast
-    # it and decorate in-stream when it fits comfortably (one shuffle
-    # join saved); fall back to the bucketed join for customer
-    # dimensions too big to ship to every worker.
-    cust_path = os.path.join(sf_dir, "customer.parquet")
-    cmax = _pq_col_max(cust_path, "c_custkey")
-    if cmax is not None and cmax + 1 <= _NTM_CUST_LUT_MAX:
-        cdf = pq.read_table(cust_path,
-                            columns=["c_custkey", "c_nationkey"]).to_pandas()
-        clut = np.full(int(cmax) + 1, -1, dtype=np.int32)
-        clut[cdf["c_custkey"].to_numpy()] = (
-            cdf["c_nationkey"].to_numpy().astype(np.int32))
-        clut_ref = ray.put(clut)
-
-        def decorate_cust(t: pa.Table) -> pa.Table:
-            table = ray.get(clut_ref)
-            keys = pc.cast(t["o_custkey"], pa.int64()).to_numpy()
-            if keys.size and (keys.min() < 0 or keys.max() >= table.size
-                              or table[keys].min() < 0):
-                raise ValueError("trade matrix: o_custkey outside the "
-                                 "broadcast customer dimension")
-            return pa.table({
-                "cust_nat": pa.array(table[keys].astype(np.int64)),
-                "supp_nat": pc.cast(t["supp_nat"], pa.int64()),
-                "cents": pc.cast(t["cents"], pa.int64()),
-            })
-
-        decorated = j1.map_batches(decorate_cust, batch_format="pyarrow")
-    else:
-        cust = (rd.read_parquet(cust_path,
-                                columns=["c_custkey", "c_nationkey"])
-                .map_batches(lambda t: pa.table({
-                    "o_custkey": t["c_custkey"],
-                    "cust_nat": pc.cast(t["c_nationkey"], pa.int64())}),
-                    batch_format="pyarrow"))
-        decorated = hash_join(
-            j1.select_columns(["o_custkey", "supp_nat", "cents"]), cust,
-            key="o_custkey", num_buckets=16,
-        ).select_columns(["cust_nat", "supp_nat", "cents"])
-
+    decorated = dense_lookup(j1, "o_custkey",
+                             os.path.join(sf_dir, "customer.parquet"),
+                             "c_custkey", "c_nationkey", "cust_nat")
     matrix = grouped_sum(decorated, ["cust_nat", "supp_nat"],
                          {"cents": "revenue_cents"}, num_buckets=8)
 
@@ -2768,7 +2430,6 @@ def _top_return_customers(sf_dir: str):
     custkey ASC) tie-break, so only ≤ blocks×k candidate rows reach
     the driver; the 20 winner keys broadcast back as a filter over the
     customer detail stream — the details never shuffle."""
-    import numpy as np
     import pandas as pd
     import pyarrow.compute as pc
     import pyarrow.dataset as pads
@@ -2783,17 +2444,7 @@ def _top_return_customers(sf_dir: str):
         columns=["l_orderkey", "l_extendedprice", "l_discount"],
         filter=pads.field("l_returnflag") == "R")
 
-    def li_partial(t: pa.Table) -> pa.Table:
-        cents = pc.cast(pc.floor(pc.multiply(pc.multiply(
-            t["l_extendedprice"],
-            pc.subtract(pa.scalar(1.0), t["l_discount"])),
-            pa.scalar(100.0))), pa.int64())
-        g = (pa.table({"o_orderkey": t["l_orderkey"], "cents": cents})
-             .group_by("o_orderkey").aggregate([("cents", "sum")]))
-        return pa.table({"o_orderkey": g["o_orderkey"],
-                         "cents": pc.cast(g["cents_sum"], pa.int64())})
-
-    rev = li.map_batches(li_partial, batch_format="pyarrow")
+    rev = li.map_batches(_order_cents, batch_format="pyarrow")
     orders = rd.read_parquet(os.path.join(sf_dir, "orders.parquet"),
                              columns=["o_orderkey", "o_custkey"])
     joined = hash_join(rev, orders, key="o_orderkey", num_buckets=16)

@@ -37,6 +37,11 @@ batch format: behind a ``pandas``-format map a bucket arrives as a
 pandas frame (int64 columns with nulls turn float64) and empty
 partitions come out as pandas blocks.
 
+For a key space of at most a few thousand groups,
+:func:`grouped_agg_lowcard` keeps the per-batch partial but reduces it
+with Ray's native aggregate: the partials are few enough that the
+per-row combine costs less than the bucket shuffle's extra operator.
+
 Users: :func:`grouped_agg`, ``join.hash_join`` / ``join.hash_semi_join``,
 ``compact.latest_wins``, ``dedup.duplicate_line_removal`` and the
 catalog's hand-rolled bucket queries. ``pipelines/extract.add_part_id_batch``
@@ -113,6 +118,19 @@ def bucket_shuffle(ds, fn: Callable[[pa.Table], Frame]):
     return ds.groupby("__b").map_groups(per_bucket, batch_format="pyarrow")
 
 
+def _key_cols(keys: Union[str, Sequence[str]], aggs: Dict[str, tuple],
+              count: Optional[str]) -> List[str]:
+    """``keys`` as a list, after checking ``aggs`` and ``count``."""
+    for out_col, (in_col, fn) in aggs.items():
+        if fn not in _AGG_FUNCS:
+            raise ValueError(
+                f"grouped_agg supports {_AGG_FUNCS}, got {fn!r} for "
+                f"{out_col!r} (non-associative aggregates can't two-level)")
+    if count is not None and count in aggs:
+        raise ValueError(f"count column {count!r} collides with an agg")
+    return [keys] if isinstance(keys, str) else list(keys)
+
+
 def grouped_agg(ds, keys: Union[str, Sequence[str]],
                 aggs: Dict[str, tuple], num_buckets: int = 64,
                 count: Optional[str] = None):
@@ -131,15 +149,7 @@ def grouped_agg(ds, keys: Union[str, Sequence[str]],
     pandas float sums are Kahan-compensated and Arrow's ``hash_sum`` is
     not, so an Arrow ``group_by`` drifts from exact float results.
     """
-    key_cols: List[str] = [keys] if isinstance(keys, str) else list(keys)
-    for out_col, (in_col, fn) in aggs.items():
-        if fn not in _AGG_FUNCS:
-            raise ValueError(
-                f"grouped_agg supports {_AGG_FUNCS}, got {fn!r} for "
-                f"{out_col!r} (non-associative aggregates can't two-level)")
-    if count is not None and count in aggs:
-        raise ValueError(f"count column {count!r} collides with an agg")
-
+    key_cols = _key_cols(keys, aggs, count)
     # pandas named-agg spec for the partial; the bucket-level re-agg
     # applies the same fn to the PARTIAL column (sum-of-sums etc.)
     partial_spec = {out: (in_col, fn) for out, (in_col, fn) in aggs.items()}
@@ -176,3 +186,37 @@ def grouped_sum(ds, keys: Union[str, Sequence[str]],
     return grouped_agg(ds, keys,
                        {out: (in_col, "sum") for in_col, out in sums.items()},
                        num_buckets=num_buckets, count=count)
+
+
+def grouped_agg_lowcard(ds, keys: Union[str, Sequence[str]],
+                        aggs: Dict[str, tuple], count: Optional[str] = None):
+    """:func:`grouped_agg` for a key space of at most a few thousand
+    groups: each batch shrinks to its groups with one Arrow
+    ``group_by``, and Ray's native ``groupby().aggregate`` reduces the
+    partials. They are ≤ groups × blocks rows, so the native per-row
+    combine stays cheap, and the plan saves the bucket shuffle's sort
+    and ``map_groups`` step. Unlike :func:`grouped_agg`, integer keys
+    come out int64 and float sums are Arrow's (not compensated)."""
+    from ray.data.aggregate import Max, Min, Sum
+
+    key_cols = _key_cols(keys, aggs, count)
+
+    def partial(t: pa.Table) -> pa.Table:
+        spec = list(aggs.values())
+        if count is not None:       # COUNT(*): null key values count too
+            spec.append((key_cols[0], "count", pc.CountOptions(mode="all")))
+        g = t.group_by(key_cols).aggregate(spec)
+        cols = {k: g[k] for k in key_cols}
+        cols.update({out: g[f"{in_col}_{fn}"]
+                     for out, (in_col, fn) in aggs.items()})
+        if count is not None:
+            cols[count] = g[f"{key_cols[0]}_count"]
+        return pa.table(cols)
+
+    reduce = {"sum": Sum, "min": Min, "max": Max}
+    finals = [reduce[fn](out, alias_name=out)
+              for out, (_, fn) in aggs.items()]
+    if count is not None:
+        finals.append(Sum(count, alias_name=count))
+    return (ds.map_batches(partial, batch_format="pyarrow")
+            .groupby(key_cols).aggregate(*finals))

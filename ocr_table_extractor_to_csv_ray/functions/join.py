@@ -12,6 +12,11 @@ engine-level operators a corpus pipeline needs around it:
   Arrow join per batch. No shuffle; the pattern for every
   dimension/metadata enrichment (J2's image↔hocr stem pairing is the
   same join with ``key = stem``).
+- :func:`dense_lookup` — fact key → one integer of its dimension row.
+  A size tier picks where the dimension lives: a dense array broadcast
+  once when ``max_key + 1`` entries fit :data:`DENSE_LOOKUP_BYTES`, a
+  :func:`hash_join` otherwise. Both tiers refuse a fact key that the
+  dimension lacks.
 - :func:`sessionize` — event-time session windows per key: partition by
   key (one ``groupby`` shuffle), sort within group, split where the gap
   exceeds the timeout. The ordering assumption (events of one key fit a
@@ -27,14 +32,18 @@ columns, suffixed where they collide with a left column.
 from __future__ import annotations
 
 import os
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .agg import bucket_shuffle, key_buckets, to_arrow
+from .agg import bucket_shuffle, grouped_agg, key_buckets, to_arrow
+
+# bytes a dense key → value array may take before a lookup moves to
+# the hash tier (the array goes to every worker that runs a batch)
+DENSE_LOOKUP_BYTES = 32 << 20
 
 _HOW = {"inner": "inner", "left": "left outer", "right": "right outer",
         "outer": "full outer"}
@@ -150,8 +159,8 @@ def sessionize(ds, key: str = "user_id", ts: str = "ts",
     Datetime columns carry their own unit and ignore ``ts_unit``.
 
     MEGA-KEY GUARD (the enforced form of the one-key-fits-a-task
-    contract): a cheap probe pass (per-batch ``(key, n, tmin, tmax)``
-    partials → one tiny key-shuffle, events never move) finds keys
+    contract): a cheap probe pass (one grouped ``(n, tmin, tmax)`` per
+    key — a tiny key-shuffle, events never move) finds keys
     whose event count exceeds ``max_events_per_task``. Those keys are
     range-partitioned by time into buckets of ≲ threshold events,
     sessionized per (key, bucket), then STITCHED: sessionization is
@@ -194,25 +203,15 @@ def sessionize(ds, key: str = "user_id", ts: str = "ts",
         g = g.sort_values(ts, kind="mergesort")
         return _sessions_of(g[key].to_numpy(), _t_us(g[ts].to_numpy()))
 
+    def times(t: pa.Table) -> pa.Table:
+        return pa.table({key: t[key], "_t": _t_us(t[ts].to_numpy())})
+
     hot = None
     if max_events_per_task:
-        from ray.data.aggregate import Max, Min, Sum
-
-        def probe(b: pd.DataFrame):
-            t = _t_us(b[ts].to_numpy())
-            f = pd.DataFrame({key: b[key].to_numpy(), "_t": t})
-            g = f.groupby(key, as_index=False).agg(
-                n=("_t", "size"), tmin=("_t", "min"), tmax=("_t", "max"))
-            g["n"] = g["n"].astype("int64")
-            # Arrow blocks into the stats aggregate (24× pandas-block
-            # combine penalty; see functions/agg.py)
-            return to_arrow(g)
-
-        stats = (ds.map_batches(probe, batch_format="pandas")
-                 .groupby(key)
-                 .aggregate(Sum("n", alias_name="n"),
-                            Min("tmin", alias_name="tmin"),
-                            Max("tmax", alias_name="tmax")))
+        stats = grouped_agg(ds.map_batches(times, batch_format="pyarrow"),
+                            key, {"tmin": ("_t", "min"),
+                                  "tmax": ("_t", "max")},
+                            num_buckets=16, count="n")
         # only the PATHOLOGICAL keys cross to the driver — normally zero
         hot = (stats.map_batches(
             lambda t: t.filter(pc.greater(t["n"], max_events_per_task)),
@@ -226,29 +225,24 @@ def sessionize(ds, key: str = "user_id", ts: str = "ts",
     # span width per hot key s.t. a uniform timeline gives ≲ threshold
     # events per bucket (a skewed timeline can still exceed it — this is
     # a guard against unbounded single tasks, not a balancer)
-    hot_meta = {}
-    for _, r in hot.iterrows():
-        n_buckets = int(np.ceil(r["n"] / max_events_per_task))
-        width = max(1, int(np.ceil((r["tmax"] - r["tmin"] + 1) / n_buckets)))
-        hot_meta[r[key]] = (int(r["tmin"]), width)
-    hot_keys = set(hot_meta)
+    n_buckets = np.ceil(hot["n"].to_numpy() / max_events_per_task)
+    tmin = hot["tmin"].to_numpy(np.int64)
+    width = np.maximum(1, np.ceil(
+        (hot["tmax"].to_numpy(np.int64) - tmin + 1) / n_buckets)
+    ).astype(np.int64)
+    hot_keys = pa.array(hot[key])
 
-    def split_flag(b: pd.DataFrame) -> pd.DataFrame:
-        return b[~b[key].isin(hot_keys)]
+    def split_flag(t: pa.Table) -> pa.Table:
+        return t.filter(pc.invert(pc.is_in(t[key], value_set=hot_keys)))
 
-    cold_sessions = (ds.map_batches(split_flag, batch_format="pandas")
+    cold_sessions = (ds.map_batches(split_flag, batch_format="pyarrow")
                      .groupby(key).map_groups(per_key, batch_format="pandas"))
 
-    def hot_bucket(b: pd.DataFrame) -> pd.DataFrame:
-        b = b[b[key].isin(hot_keys)]
-        if not len(b):
-            return pd.DataFrame({key: b[key], "_t": pd.array([], dtype="int64"),
-                                 "__bucket": pd.array([], dtype="int64")})
-        t = _t_us(b[ts].to_numpy())
-        tmin = b[key].map(lambda k: hot_meta[k][0]).to_numpy(dtype=np.int64)
-        width = b[key].map(lambda k: hot_meta[k][1]).to_numpy(dtype=np.int64)
-        return pd.DataFrame({key: b[key].to_numpy(), "_t": t,
-                             "__bucket": (t - tmin) // width})
+    def hot_bucket(t: pa.Table) -> pa.Table:
+        t = times(t.filter(pc.is_in(t[key], value_set=hot_keys)))
+        i = pc.index_in(t[key], value_set=hot_keys).to_numpy()
+        return t.append_column(
+            "__bucket", pa.array((t["_t"].to_numpy() - tmin[i]) // width[i]))
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values("_t", kind="mergesort")
@@ -277,7 +271,7 @@ def sessionize(ds, key: str = "user_id", ts: str = "ts",
             agg[c] = agg[c].astype("int64")
         return agg
 
-    hot_sessions = (ds.map_batches(hot_bucket, batch_format="pandas")
+    hot_sessions = (ds.map_batches(hot_bucket, batch_format="pyarrow")
                     .groupby([key, "__bucket"])
                     .map_groups(per_bucket, batch_format="pandas")
                     .groupby(key)
@@ -367,84 +361,96 @@ def hash_join(left, right, key: str, num_buckets: int = 32,
     return bucket_shuffle(both, join_bucket)
 
 
-def join_auto(left, right, key: str, right_key: Optional[str] = None,
-              how: str = "inner", num_buckets: int = 32,
-              hot_keys: Optional[Sequence] = None, salt_factor: int = 8,
-              num_partitions: Optional[int] = None):
-    """Large×large join with engine dispatch.
+def _pq_col_max(path: str, col: str):
+    """Max of an int column from Parquet row-group statistics — no data
+    read. None when the column is absent or any row group lacks min/max
+    statistics."""
+    import pyarrow.parquet as pq
+    f = pq.ParquetFile(path)
+    try:
+        idx = f.schema_arrow.names.index(col)
+    except ValueError:
+        return None
+    mx = None
+    for i in range(f.metadata.num_row_groups):
+        st = f.metadata.row_group(i).column(idx).statistics
+        if st is None or not st.has_min_max:
+            return None
+        mx = st.max if mx is None else max(mx, st.max)
+    return mx
 
-    Ray ≥ 2.46 ships a native hash-partitioned ``Dataset.join`` that
-    measures ~1.3× faster than this repo's explicit tagged-union
-    :func:`hash_join` on even inputs (BASELINE.md, measured) — but it
-    has no hot-key salting and no key-dtype guard. This wrapper
-    encodes the decision rule instead of leaving it to folklore:
 
-    - ``hot_keys`` given (skewed key space) → explicit :func:`hash_join`
-      with salting; the native path has no skew story.
-    - otherwise → native ``Dataset.join`` when available, falling back
-      to :func:`hash_join` on older Ray.
+def dense_lookup(ds, key: str, dim_path: str, dim_key: str,
+                 value: Union[str, Callable[[pa.Table], object]], out: str,
+                 columns: Sequence[str] = ()):
+    """``ds`` with an int64 column ``out``: for each row, the value of
+    the dimension row (Parquet file ``dim_path``) whose ``dim_key``
+    equals the row's ``key``.
 
-    CHAINED-JOIN caveat (measured, BASELINE.md): a pipeline with TWO
-    native joins runs ~3× slower than the explicit path on the same
-    inputs (min-of-3 interleaved: 53 s vs 16 s at sf0.1/32 CPUs) —
-    each native join holds `num_partitions` aggregator actors, so
-    chained joins over-subscribe the worker pool, while the explicit
-    tagged-union buckets are plain tasks that schedule cooperatively.
-    For multi-join pipelines either pass `num_partitions` such that the
-    SUM across concurrent joins ≤ cluster CPUs, or use
-    :func:`hash_join` directly (what `revenue_by_segment` does).
+    ``value`` is a dimension column, or a function of a dimension batch
+    (reading ``columns``) that returns one non-negative int per row.
 
-    ``right_key`` joins differently-named key columns without a rename
-    pass (native path only supports that directly; the explicit path
-    renames inside a map_batches). Output columns follow the left
-    side's naming (the right key column is dropped on the native path
-    when it differs, matching hash_join's single-key-column contract).
+    Size tier: when ``max(dim_key) + 1`` entries (from the file's
+    statistics) of the smallest signed int that holds the values and
+    the −1 sentinel fit :data:`DENSE_LOOKUP_BYTES`, the dimension
+    becomes a dense array, put in the object store once, and every
+    batch takes from it: no shuffle. Otherwise (or without statistics)
+    it is a left :func:`hash_join` on the key. In both tiers a fact key
+    with no dimension row (or a null key) raises ``ValueError``.
     """
-    # ONE canonical `how` vocabulary (pandas names) across all three
-    # dispatch paths; the native Dataset.join speaks 'left_outer' etc.,
-    # so translate at its call site (ADVICE r3: join_auto(how='left')
-    # used to raise only when the native path was taken).
-    _VALID_HOW = ("inner", "left", "right", "outer")
-    if how not in _VALID_HOW:
-        raise ValueError(
-            f"join_auto how={how!r} — expected one of {_VALID_HOW} "
-            "(pandas vocabulary, translated internally for the native path)")
-    _NATIVE_HOW = {"inner": "inner", "left": "left_outer",
-                   "right": "right_outer", "outer": "full_outer"}
-    rk = right_key or key
-    if hot_keys:
-        if rk != key:
-            right = right.map_batches(
-                lambda b, _rk=rk, _k=key: b.rename(columns={_rk: _k}),
-                batch_format="pandas")
-        return hash_join(left, right, key, num_buckets=num_buckets,
-                         how=how, hot_keys=hot_keys,
-                         salt_factor=salt_factor)
-    if hasattr(left, "join"):
-        if num_partitions is None:
-            # the native join runs per-partition aggregator actors;
-            # partitions far beyond the cluster's CPUs over-subscribe
-            # the worker pool (observed: worker SIGTERMs at 32
-            # partitions on a 4-CPU cluster) — cap at cluster width
-            try:
-                import ray
-                cpus = int(ray.cluster_resources().get("CPU", num_buckets))
-            except Exception:
-                cpus = num_buckets
-            num_partitions = max(2, min(num_buckets, cpus))
-        joined = left.join(right, join_type=_NATIVE_HOW[how],
-                           num_partitions=num_partitions,
-                           on=(key,), right_on=(rk,))
-        if rk != key and rk in joined.schema().names:
-            # Ray versions differ on whether the right key column
-            # survives the join — enforce hash_join's single-key contract
-            joined = joined.drop_columns([rk])
-        return joined
-    if rk != key:
-        right = right.map_batches(
-            lambda b, _rk=rk, _k=key: b.rename(columns={_rk: _k}),
-            batch_format="pandas")
-    return hash_join(left, right, key, num_buckets=num_buckets, how=how)
+    import ray
+    import ray.data as rd
+    import pyarrow.parquet as pq
+
+    read = [dim_key] + ([value] if isinstance(value, str) else list(columns))
+
+    def values(dim: pa.Table) -> np.ndarray:
+        v = dim[value] if isinstance(value, str) else value(dim)
+        if isinstance(v, (pa.Array, pa.ChunkedArray)):
+            v = v.to_numpy(zero_copy_only=False)
+        return np.asarray(v).astype(np.int64)
+
+    def require_known(ok: bool) -> None:
+        if not ok:
+            raise ValueError(
+                f"dense_lookup: a {key} value has no {dim_key} row in "
+                f"{os.path.basename(dim_path)}")
+
+    mx = _pq_col_max(dim_path, dim_key)
+    if mx is not None and 0 <= mx < DENSE_LOOKUP_BYTES:
+        dim = pq.read_table(dim_path, columns=read)
+        keys, vals = dim[dim_key].to_numpy(), values(dim)
+        # a signed int holds v ≥ 0 iff it holds −v−1 (and so also −1)
+        dtype = np.min_scalar_type(-int(vals.max()) - 1)
+        if (keys.min() >= 0 and vals.min() >= 0
+                and (mx + 1) * dtype.itemsize <= DENSE_LOOKUP_BYTES):
+            lut = np.full(mx + 1, -1, dtype=dtype)
+            lut[keys] = vals
+            ref = ray.put(lut)
+
+            def take(t: pa.Table) -> pa.Table:
+                lut = ray.get(ref)
+                require_known(t[key].null_count == 0)
+                k = t[key].to_numpy()
+                require_known(not k.size or (k.min() >= 0
+                                             and k.max() < lut.size))
+                v = lut[k]
+                require_known(not v.size or v.min() >= 0)
+                return t.append_column(out, pa.array(v.astype(np.int64)))
+
+            return ds.map_batches(take, batch_format="pyarrow")
+
+    def dim_rows(t: pa.Table) -> pa.Table:
+        return pa.table({key: t[dim_key], out: values(t)})
+
+    def check(t: pa.Table) -> pa.Table:
+        require_known(t[out].null_count == 0)
+        return t
+
+    dim_ds = rd.read_parquet(dim_path, columns=read).map_batches(
+        dim_rows, batch_format="pyarrow")
+    return hash_join(ds, dim_ds, key, num_buckets=16,
+                     how="left").map_batches(check, batch_format="pyarrow")
 
 
 def hash_semi_join(left, right, key: str, num_buckets: int = 32,

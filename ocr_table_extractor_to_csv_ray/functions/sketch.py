@@ -148,53 +148,6 @@ def exact_vocab_size(ds, column: str = "text") -> int:
     return int(tokens.groupby("token").count().count())
 
 
-class CountMinSketch:
-    """Count-min sketch (Cormode & Muthukrishnan, public algorithm):
-    ``d`` rows × ``w`` counters; estimate = min over rows; merge =
-    elementwise sum (associative — the same tree-merge contract as
-    :class:`HyperLogLog`). Overestimates only, by ≤ εN with
-    probability 1−δ for w=⌈e/ε⌉, d=⌈ln 1/δ⌉."""
-
-    def __init__(self, w: int = 4096, d: int = 4, seed: int = 19) -> None:
-        if w & (w - 1):
-            raise ValueError("w must be a power of two (multiply-shift hash)")
-        self.w, self.d = w, d
-        self._shift = np.uint64(64 - w.bit_length() + 1)
-        rng = np.random.default_rng(seed)
-        # multiply-shift row hashes: h_i(x) = (a_i·x + b_i) >> (64−log2 w).
-        # HIGH bits, deliberately: the low bits of a product mix only the
-        # low bits of x, so `mod w` would collide identically in every
-        # row for any x1 ≡ x2 (mod w) — defeating the min-of-d bound.
-        self.a = rng.integers(1, 1 << 62, size=d).astype(np.uint64) | np.uint64(1)
-        self.b = rng.integers(0, 1 << 62, size=d).astype(np.uint64)
-        self.table = np.zeros((d, w), np.int64)
-
-    def _idx(self, h: np.ndarray) -> np.ndarray:
-        with np.errstate(over="ignore"):
-            x = h[None, :] * self.a[:, None] + self.b[:, None]
-        return (x >> self._shift).astype(np.int64)          # (d, n)
-
-    def add_hashes(self, h: np.ndarray, counts=None) -> None:
-        h = h.astype(np.uint64)
-        counts = (np.ones(len(h), np.int64) if counts is None
-                  else np.asarray(counts, np.int64))
-        idx = self._idx(h)
-        for r in range(self.d):
-            np.add.at(self.table[r], idx[r], counts)
-
-    def query_hashes(self, h: np.ndarray) -> np.ndarray:
-        idx = self._idx(np.asarray(h, np.uint64))
-        return np.min(
-            np.stack([self.table[r][idx[r]] for r in range(self.d)]), axis=0)
-
-    def merge(self, other: "CountMinSketch") -> "CountMinSketch":
-        assert (self.w, self.d) == (other.w, other.d)
-        out = CountMinSketch(self.w, self.d)
-        out.a, out.b = self.a, self.b
-        out.table = self.table + other.table
-        return out
-
-
 def top_terms(ds, k: int = 20, column: str = "text"):
     """EXACT top-``k`` terms by total occurrences: per-batch local
     counts (dictionary-encode + bincount) → vocabulary ``groupby.sum``

@@ -800,14 +800,17 @@ def test_user_feature_pivot_semantics(ray_session, tmp_path):
     assert set(out.dtypes.astype(str)) == {"int64"}
 
 
-def test_star_join_rejects_unknown_dimension_key(ray_session, tmp_path):
-    """A fact row referencing a supplier outside the broadcast LUT must
-    fail loudly, not wrap into another region's sum."""
+def test_star_join_rejects_unknown_dimension_key(ray_session, tmp_path,
+                                                 monkeypatch):
+    """A fact row referencing a supplier outside the dimension must
+    fail loudly, not wrap into another region's sum — in the dense
+    tier (default budget) and in the hash tier (budget 0)."""
     import shutil
     import pytest
     import ray
     import pyarrow.parquet as pq
     import __ray_entry__ as E
+    from ocr_table_extractor_to_csv_ray.functions import join
 
     src = "/root/testdata/sf0.001"
     for t in ("supplier", "nation", "region"):
@@ -817,8 +820,11 @@ def test_star_join_rejects_unknown_dimension_key(ray_session, tmp_path):
     bad = li.set_column(0, "l_suppkey",
                         pa.array([10**6] * li.num_rows, pa.int64()))
     pq.write_table(bad, tmp_path / "lineitem.parquet")
-    with pytest.raises(ray.exceptions.RayTaskError, match="star join"):
-        E._star_join_region_revenue(str(tmp_path)).materialize()
+    for budget in (join.DENSE_LOOKUP_BYTES, 0):
+        monkeypatch.setattr(join, "DENSE_LOOKUP_BYTES", budget)
+        with pytest.raises(ray.exceptions.RayTaskError,
+                           match="l_suppkey value has no s_suppkey row"):
+            E._star_join_region_revenue(str(tmp_path)).materialize()
 
 
 def test_cli_evaluate_corpus_vs_corpus(ray_session, tmp_path, capsys):
@@ -1173,80 +1179,6 @@ def test_grouped_centroid_string_group_key(ray_session):
         assert (sub["n"].to_numpy() == int((langs == g).sum())).all()
 
 
-def test_morton2_matches_slow_reference():
-    """Vectorized magic-number interleave vs a bit-by-bit reference."""
-    import numpy as np
-
-    from ocr_table_extractor_to_csv_ray.functions.zorder import morton2
-
-    rng = np.random.RandomState(9)
-    x = rng.randint(0, 1 << 31, 500).astype(np.int64)
-    y = rng.randint(0, 1 << 31, 500).astype(np.int64)
-
-    def slow(a, b):
-        k = 0
-        for i in range(31):
-            k |= ((int(a) >> i) & 1) << (2 * i)
-            k |= ((int(b) >> i) & 1) << (2 * i + 1)
-        return k
-
-    got = morton2(x, y)
-    exp = np.array([slow(a, b) for a, b in zip(x, y)], dtype=np.int64)
-    assert (got == exp).all()
-    with pytest.raises(ValueError, match="morton2"):
-        morton2(np.array([-1]), np.array([0]))
-
-
-def test_zorder_sorted_improves_2d_locality(ray_session):
-    """After z-order sort, rows inside a small 2D query box occupy a
-    much narrower band of row positions than under a single-column
-    sort — the property that makes range scans prune files."""
-    import numpy as np
-    import pandas as pd
-    import ray.data as rd
-
-    from ocr_table_extractor_to_csv_ray.functions.zorder import zorder_sorted
-
-    rng = np.random.RandomState(3)
-    n = 4000
-    df = pd.DataFrame({"a": rng.randint(0, 1000, n).astype(np.int64),
-                       "b": rng.randint(0, 1000, n).astype(np.int64)})
-    z = (zorder_sorted(rd.from_pandas(df).repartition(8), ["a", "b"],
-                       bits=10)
-         .to_pandas().reset_index(drop=True))
-    # z-key strictly sorted overall, content preserved
-    assert (np.diff(z["__zkey"].to_numpy()) >= 0).all()
-    assert sorted(map(tuple, z[["a", "b"]].to_numpy())) == \
-           sorted(map(tuple, df[["a", "b"]].to_numpy()))
-
-    def band(frame, qa, qb):
-        m = (frame["a"].between(*qa) & frame["b"].between(*qb)).to_numpy()
-        pos = np.nonzero(m)[0]
-        return (pos.max() - pos.min() + 1) / max(1, len(pos))
-
-    def files(frame, qa, qb, fsz=256):
-        m = (frame["a"].between(*qa) & frame["b"].between(*qb)).to_numpy()
-        return len(np.unique(np.nonzero(m)[0] // fsz))
-
-    one_col = df.sort_values("a", kind="mergesort").reset_index(drop=True)
-    boxes = [((100, 160), (400, 460)), ((700, 760), (50, 110)),
-             ((300, 360), (800, 860)), ((500, 560), (500, 560)),
-             ((0, 60), (900, 960))]
-    z_band = np.mean([band(z, qa, qb) for qa, qb in boxes])
-    a_band = np.mean([band(one_col, qa, qb) for qa, qb in boxes])
-    # a-sort localizes 'a' but scatters 'b' across its whole stripe;
-    # z-order must be clearly tighter on row-band AND touch fewer
-    # 256-row "files" (deterministic seed; measured 6.7 vs 12.2 band,
-    # 6 vs 9 files)
-    assert z_band * 1.5 < a_band, (z_band, a_band)
-    z_files = sum(files(z, qa, qb) for qa, qb in boxes)
-    a_files = sum(files(one_col, qa, qb) for qa, qb in boxes)
-    assert z_files < a_files, (z_files, a_files)
-
-    with pytest.raises(ValueError, match="exactly 2"):
-        zorder_sorted(rd.from_pandas(df), ["a"])
-
-
 def test_mixture_sample_targets_weights(ray_session):
     """Keep-rates: binding stratum keeps 100%, others thin so the kept
     budget tracks the weight vector; unweighted strata drop entirely."""
@@ -1309,36 +1241,44 @@ def test_consistent_sample_stable_under_growth(ray_session):
     assert s1b == s1
 
 
-def test_nation_trade_matrix_tiers_equivalent(ray_session, monkeypatch):
-    """All four LUT-tier combinations (supplier/customer broadcast vs
-    bucketed join) produce the identical matrix, and the gate keys on
-    the dense LUT length (max_key + 1), not row count."""
+def test_dense_lookup_tiers_equivalent(ray_session, monkeypatch):
+    """Every ``dense_lookup`` site gives the identical frame through
+    the hash tier (byte budget 0) as through the dense tier. For
+    nation_trade_matrix also a budget that keeps its supplier lookup
+    dense and sends its customer lookup to the hash tier; the tier
+    gate keys on the dense array length (max_key + 1), not row count."""
     import __ray_entry__ as E
+    from ocr_table_extractor_to_csv_ray.functions import join
 
-    sf = "/root/testdata/sf0.001"
+    sf = E._SF_DEFAULT
+    supp_lut = join._pq_col_max(os.path.join(sf, "supplier.parquet"),
+                                "s_suppkey") + 1
+    cust_lut = join._pq_col_max(os.path.join(sf, "customer.parquet"),
+                                "c_custkey") + 1
+    assert supp_lut < cust_lut           # int8 nation codes: 1 B/entry
+    budgets = {"star_join_region_revenue": [0],
+               "promo_revenue_share": [0],
+               "supplier_distinct_parts": [0],
+               "nation_trade_matrix": [0, supp_lut]}
+    for name, tiers in budgets.items():
+        def run():
+            out = E.queries()[name](sf)
+            out = out.to_pandas() if hasattr(out, "to_pandas") else out
+            return out.sort_values(list(out.columns)).reset_index(drop=True)
 
-    def run():
-        return (E._nation_trade_matrix(sf).to_pandas()
-                .sort_values(["cust_nation", "supp_nation"])
-                .reset_index(drop=True))
-
-    base = run()                               # both broadcast tiers
-    monkeypatch.setattr(E, "_NTM_SUPP_LUT_MAX", 0)
-    sup_join = run()                           # supplier falls back to join
-    monkeypatch.setattr(E, "_NTM_CUST_LUT_MAX", 0)
-    both_join = run()                          # both sides bucketed joins
-    monkeypatch.setattr(E, "_NTM_SUPP_LUT_MAX", 16_000_000)
-    cust_join = run()                          # customer-only fallback
-    for other in (sup_join, both_join, cust_join):
-        assert base.equals(other)
-    assert len(base) > 0
+        monkeypatch.setattr(join, "DENSE_LOOKUP_BYTES", 32 << 20)
+        base = run()                                 # dense tier
+        for budget in tiers:
+            monkeypatch.setattr(join, "DENSE_LOOKUP_BYTES", budget)
+            assert base.equals(run()), (name, budget)
+        assert len(base) > 0, name
 
 
 def test_pq_col_max_matches_data(tmp_path):
     import pyarrow.parquet as pq
-    import __ray_entry__ as E
+    from ocr_table_extractor_to_csv_ray.functions.join import _pq_col_max
 
     t = pa.table({"k": pa.array([7, 3, 9_999, 12], pa.int64())})
     pq.write_table(t, tmp_path / "t.parquet", row_group_size=2)
-    assert E._pq_col_max(str(tmp_path / "t.parquet"), "k") == 9_999
-    assert E._pq_col_max(str(tmp_path / "t.parquet"), "absent") is None
+    assert _pq_col_max(str(tmp_path / "t.parquet"), "k") == 9_999
+    assert _pq_col_max(str(tmp_path / "t.parquet"), "absent") is None

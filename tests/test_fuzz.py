@@ -358,26 +358,3 @@ def test_heavy_hitter_block_union_superset_fuzz(zipf_a, n_tokens, phi_den,
     # INCLUDING the all-blocks-exactly-at-threshold boundary tie that a
     # strict > block rule would miss
     assert true_hh <= cands
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    sizes=st.lists(st.integers(min_value=0, max_value=10_000),
-                   min_size=1, max_size=60),
-    target=st.integers(min_value=1, max_value=12_000),
-)
-def test_plan_groups_partition_invariants_fuzz(sizes, target):
-    """Bin-pack plan: every file lands in exactly one group; a group
-    only exceeds the target when it is a single oversized file; the
-    plan is deterministic."""
-    from ocr_table_extractor_to_csv_ray.sinks.compaction import plan_groups
-
-    files = [(f"f{i:04d}", s) for i, s in enumerate(sizes)]
-    plan = plan_groups(files, target)
-    flat = [p for g in plan for p in g]
-    assert sorted(flat) == sorted(f for f, _ in files)   # exact partition
-    size_of = dict(files)
-    for g in plan:
-        tot = sum(size_of[p] for p in g)
-        assert tot <= target or len(g) == 1
-    assert plan == plan_groups(files, target)

@@ -13,7 +13,8 @@ import pandas as pd
 import pyarrow as pa
 import pytest
 
-from ocr_table_extractor_to_csv_ray.functions.agg import grouped_agg, grouped_sum
+from ocr_table_extractor_to_csv_ray.functions.agg import (
+    grouped_agg, grouped_agg_lowcard, grouped_sum)
 
 
 def _canon(df: pd.DataFrame) -> pd.DataFrame:
@@ -71,6 +72,14 @@ def test_grouped_agg_min_max_multikey_strings(ray_session, rng):
         lo=("v", "min"), hi=("v", "max"), s=("v", "sum"))
     pd.testing.assert_frame_equal(_canon(got), _canon(want),
                                   check_dtype=False)
+    # the low-cardinality variant (120 groups) gives the same rows
+    low = grouped_agg_lowcard(ds, ["a", "b"],
+                              {"lo": ("v", "min"), "hi": ("v", "max"),
+                               "s": ("v", "sum")}, count="n").to_pandas()
+    want["n"] = df.groupby(["a", "b"]).size().to_numpy()
+    pd.testing.assert_frame_equal(_canon(low), _canon(want),
+                                  check_dtype=False)
+    assert low["n"].dtype == np.dtype("int64")
 
 
 def test_grouped_agg_count_only_is_group_count(ray_session, rng):
@@ -87,13 +96,15 @@ def test_grouped_agg_count_only_is_group_count(ray_session, rng):
 
 
 def test_grouped_agg_output_blocks_are_arrow(ray_session, rng):
-    """Every non-empty output block of the bucketed operators is an
-    Arrow table without ``pandas`` schema metadata (which makes schemas
-    unhashable in Ray's ``unify_schemas``). Ray's sort shuffle still
-    emits schema-less empty blocks for empty partitions; those are
+    """Every non-empty output block of the bucketed operators, and of a
+    catalog query whose last shuffle follows a join, is an Arrow table
+    without ``pandas`` schema metadata (which makes schemas unhashable
+    in Ray's ``unify_schemas``). Ray's sort shuffle still emits
+    schema-less empty blocks for empty partitions; those are
     skipped."""
     import ray
     import ray.data as rd
+    import __ray_entry__ as E
     from ocr_table_extractor_to_csv_ray.functions.compact import latest_wins
     from ocr_table_extractor_to_csv_ray.functions.dedup import (
         duplicate_line_removal)
@@ -122,6 +133,7 @@ def test_grouped_agg_output_blocks_are_arrow(ray_session, rng):
                                    "t", "v"),
         "duplicate_line_removal": duplicate_line_removal(ds(docs),
                                                          min_chars=5),
+        "customer_order_counts": E._customer_order_counts(E._SF_DEFAULT),
     }
     for name, out in outputs.items():
         blocks = [ray.get(ref) for bundle in

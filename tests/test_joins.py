@@ -397,64 +397,6 @@ def test_latest_wins_compaction(ray_session):
         assert list(out.columns) == ["k", "t", "ver", "payload"]
 
 
-def test_join_auto_paths_agree(ray_session):
-    """Native-dispatch and explicit hash_join produce identical rows;
-    hot_keys forces the explicit salted path; right_key joins
-    differently-named columns."""
-    import ray.data as rd
-    from ocr_table_extractor_to_csv_ray.functions.join import (
-        hash_join, join_auto)
-
-    rng = np.random.default_rng(31)
-    left = pd.DataFrame({"k": rng.integers(0, 30, 300),
-                         "a": rng.integers(0, 9, 300)})
-    right = pd.DataFrame({"rk": rng.integers(0, 30, 200),
-                          "b": rng.integers(0, 9, 200)})
-
-    def norm(df):
-        df = df[["k", "a", "b"]].astype("int64")
-        return df.sort_values(["k", "a", "b"]).reset_index(drop=True)
-
-    want = norm(left.merge(right.rename(columns={"rk": "k"}), on="k"))
-    auto = norm(join_auto(rd.from_pandas(left), rd.from_pandas(right),
-                          "k", right_key="rk").to_pandas())
-    pd.testing.assert_frame_equal(auto, want, check_exact=True)
-    salted = norm(join_auto(rd.from_pandas(left), rd.from_pandas(right),
-                            "k", right_key="rk",
-                            hot_keys=[int(left["k"].mode()[0])]).to_pandas())
-    pd.testing.assert_frame_equal(salted, want, check_exact=True)
-
-
-def test_join_auto_how_vocabulary_all_paths(ray_session):
-    """ADVICE r3: one canonical `how` vocabulary — 'left' must work on
-    BOTH the native path and the salted hot-keys path (it used to raise
-    ValueError on the native one), and bogus values fail loudly."""
-    import pytest
-    import ray.data as rd
-    from ocr_table_extractor_to_csv_ray.functions.join import join_auto
-
-    left = pd.DataFrame({"k": [1, 2, 3, 3], "a": [10, 20, 30, 31]})
-    right = pd.DataFrame({"k": [2, 3], "b": [200, 300]})
-    want = (left.merge(right, on="k", how="left")
-            .sort_values(["k", "a"]).reset_index(drop=True))
-
-    def norm(df):
-        df = df.sort_values(["k", "a"]).reset_index(drop=True)
-        return df[["k", "a", "b"]].astype({"k": "int64", "a": "int64",
-                                           "b": "float64"})
-
-    native = join_auto(rd.from_pandas(left), rd.from_pandas(right),
-                       "k", how="left").to_pandas()
-    pd.testing.assert_frame_equal(norm(native), norm(want), check_exact=True)
-    salted = join_auto(rd.from_pandas(left), rd.from_pandas(right),
-                       "k", how="left", hot_keys=[3]).to_pandas()
-    pd.testing.assert_frame_equal(norm(salted), norm(want), check_exact=True)
-
-    with pytest.raises(ValueError, match="join_auto how"):
-        join_auto(rd.from_pandas(left), rd.from_pandas(right),
-                  "k", how="left_outer")
-
-
 def test_latest_wins_null_keys_kept(ray_session):
     """ADVICE r3: NULL keys must form a compaction group (SQL
     row_number() PARTITION BY keeps NULL partitions), not be dropped."""
@@ -566,3 +508,47 @@ def test_null_keys_never_match_duckdb(ray_session):
     assert rows(got, ["k", "v"]) == want_semi
     got = hash_semi_join(*ds(), "k", num_buckets=3, anti=True).to_pandas()
     assert rows(got, ["k", "v"]) == want_anti
+
+
+def test_dense_lookup_sparse_keys_take_hash_tier(ray_session, tmp_path,
+                                                 monkeypatch):
+    """Three dimension rows with max key 10⁹: a dense array would take
+    1 GB, so the lookup runs through hash_join and allocates no
+    max_key + 1 array. Values match the compact (dense-tier) dimension,
+    and a fact key the dimension lacks raises in both tiers. The dense
+    array is the smallest signed int that holds the values and −1."""
+    import pytest
+    import pyarrow.parquet as pq
+    import ray.data as rd
+    from ocr_table_extractor_to_csv_ray.functions import join
+
+    sparse, compact = tmp_path / "sparse.parquet", tmp_path / "compact.parquet"
+    pq.write_table(pa.table({"dk": pa.array([5, 77, 10**9], pa.int64()),
+                             "v": pa.array([3, 1, 2], pa.int32())}), sparse)
+    pq.write_table(pa.table({"dk": pa.array([5, 77, 99], pa.int64()),
+                             "v": pa.array([3, 1, 2], pa.int32())}), compact)
+    sizes = []
+    full = np.full
+
+    def counting_full(shape, *args, **kwargs):
+        sizes.append((int(np.prod(shape)), np.dtype(kwargs.get("dtype"))))
+        return full(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "full", counting_full)
+
+    def lookup(keys, dim):
+        fact = rd.from_pandas(pd.DataFrame({"k": keys,
+                                            "x": range(len(keys))}))
+        return join.dense_lookup(fact, "k", str(dim), "dk", "v", "val")
+
+    out = lookup([77, 10**9, 5, 77], sparse).to_pandas().sort_values("x")
+    assert max((n for n, _ in sizes), default=0) < 1000, sizes
+    assert out.columns.tolist() == ["k", "x", "val"]
+    assert out["val"].tolist() == [1, 2, 3, 1]
+    assert str(out["val"].dtype) == "int64"
+    dense = lookup([77, 99, 5, 77], compact).to_pandas().sort_values("x")
+    assert (100, np.dtype(np.int8)) in sizes   # the compact dim went dense
+    assert dense["val"].tolist() == out["val"].tolist()
+    for dim in (sparse, compact):
+        with pytest.raises(Exception, match="k value has no dk row"):
+            lookup([6], dim).materialize()

@@ -190,42 +190,3 @@ def test_csv_export_byte_parity_with_reference(tmp_path, corpus_200):
         want = p.read_bytes()
         assert got == want, p.name
 
-
-def test_compact_parquet_dir_preserves_rows(ray_session, tmp_path):
-    """Bin-packed file compaction: row count/values preserved, fewer
-    files, single oversized files untouched-but-copied, plan is
-    deterministic."""
-    import numpy as np
-    import pandas as pd
-    import pyarrow.parquet as pq
-
-    from ocr_table_extractor_to_csv_ray.sinks.compaction import (
-        compact_parquet_dir, plan_groups)
-
-    src = tmp_path / "frag"
-    src.mkdir()
-    rng = np.random.RandomState(2)
-    total = 0
-    for i in range(23):
-        n = int(rng.randint(1, 200))
-        pd.DataFrame({"a": np.arange(n, dtype=np.int64) + total,
-                      "b": rng.randn(n)}).to_parquet(src / f"f{i:03d}.parquet")
-        total += n
-
-    out = tmp_path / "compacted"
-    manifest = compact_parquet_dir(str(src), str(out), target_bytes=20_000)
-    assert manifest["rows"] == total
-    assert manifest["files_in"] == 23
-    assert manifest["files_out"] < 23
-    got = pq.read_table(str(out)).to_pandas().sort_values("a")
-    assert len(got) == total
-    assert (got["a"].to_numpy() == np.arange(total)).all()
-
-    # determinism of the plan itself
-    files = [(f"p{i}", s) for i, s in enumerate([9, 5, 5, 3, 12, 1])]
-    assert plan_groups(files, 10) == plan_groups(files, 10)
-    # an oversized file gets its own group, never split
-    assert ["p4"] in plan_groups(files, 10)
-
-    with pytest.raises(ValueError, match="target_bytes"):
-        plan_groups(files, 0)

@@ -910,11 +910,9 @@ def test_text_ops_handle_null_text(ray_session):
     surv2, _ = minhash_lsh_dedup(ds)
     assert surv2.count() <= 4
 
-def test_cms_overestimates_within_bound_and_merges(ray_session):
+def test_top_terms_exact_topk(ray_session):
     import ray.data as rd
-    from ocr_table_extractor_to_csv_ray.functions.sketch import (
-        CountMinSketch, top_terms)
-    from ocr_table_extractor_to_csv_ray.functions.textstats import token_hash64
+    from ocr_table_extractor_to_csv_ray.functions.sketch import top_terms
     rng = np.random.default_rng(21)
     vocab = [f"tok{i}" for i in range(400)]
     freqs = rng.zipf(1.5, 4000) % 400
@@ -925,23 +923,6 @@ def test_cms_overestimates_within_bound_and_merges(ray_session):
             true[w] = true.get(w, 0) + 1
         docs.append({"doc_id": i, "text": " ".join(words)})
     ds = rd.from_items(docs).repartition(5)
-    n_total = sum(true.values())
-    hs = np.array([token_hash64(w) for w in true], np.uint64)
-    tv = np.array(list(true.values()))
-    cms = CountMinSketch()
-    cms.add_hashes(hs, tv)
-    est = cms.query_hashes(hs)
-    assert (est >= tv).all()                       # never underestimates
-    assert (est - tv).max() <= max(1, 0.01 * n_total) * 4   # eps*N slack
-    # merge associativity: (a+b)+c == a+(b+c) tables
-    parts = [CountMinSketch() for _ in range(3)]
-    for p, sl in zip(parts, (slice(0, 50), slice(50, 200), slice(200, 400))):
-        sub = {w: c for w, c in list(true.items())[sl]}
-        p.add_hashes(np.array([token_hash64(w) for w in sub], np.uint64),
-                     list(sub.values()))
-    l = parts[0].merge(parts[1]).merge(parts[2])
-    r = parts[0].merge(parts[1].merge(parts[2]))
-    assert (l.table == r.table).all()
     # exact top-k agrees with python counting
     got = [(r_["token"], r_["n"]) for r_ in top_terms(ds, k=10).take_all()]
     want = sorted(true.items(), key=lambda kv: (-kv[1], kv[0]))[:10]

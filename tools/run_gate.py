@@ -41,7 +41,10 @@ def main():
              logging_level="ERROR")
     from ray.data import DataContext
     DataContext.get_current().enable_progress_bars = False
-    sys.path.insert(0, "/root/repo")
+    # the checkout this script sits in, so gating a second checkout
+    # (e.g. a parent copy for an A/B) imports that copy
+    sys.path.insert(0, os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))))
     import __ray_entry__ as E
 
     con = duckdb.connect()
