@@ -29,9 +29,10 @@ import time
 def corpus_docs_for(sf_dir: str) -> int:
     """Headline corpus size: large enough that per-doc compute dominates
     fixed pipeline overheads (the scaling measurement needs that — the
-    dynamic kernel, ``extract_batch`` in one process, runs ~0.3 ms/doc on
-    one core of a Xeon VM, so 100k docs ≈ 30 cpu-seconds of work against
-    a ~2 s pipeline-startup floor)."""
+    dynamic kernel, ``extract_batch`` in one process, runs ~0.23 ms/doc on
+    one core of an Intel Xeon VM (``tools/kernel_ab.py``: min of 7 over
+    ``corpus_table(3000)`` in batches of 500), so 100k docs ≈ 23
+    cpu-seconds of work against a ~2 s pipeline-startup floor)."""
     m = re.search(r"sf([0-9.]+)", sf_dir)
     sf = float(m.group(1).rstrip(".")) if m else 0.001
     return max(1000, int(1_000_000 * sf))

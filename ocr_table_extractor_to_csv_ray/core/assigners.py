@@ -1,7 +1,9 @@
 """Line → record assignment kernels, one per layout family.
 
 * :func:`assign_words_to_columns` — generic layout (``assign.py:5-28``)
-* :func:`assign_dynamic` — dynamic layout (``assign_dynamic.py:38-72``)
+* :func:`assign_dynamic_batch` — dynamic layout, every line of a batch in
+  one pass (``assign_dynamic.py:38-72``); :func:`assign_dynamic` is the
+  same code on one document
 * :func:`assign_financial` — financial 3-column layout
   (``assign_financial.py:41-93``)
 """
@@ -12,8 +14,10 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from .colmodel import ColumnModel
 from .doc import TokenSOA
-from .geometry import Line, adaptive_line_spans, line_spans, locate
+from .geometry import (Line, adaptive_line_spans, gather_lines, line_span_arrays, line_spans,
+                       locate, locate_grouped)
 from .numeric import is_numeric_token
 from .records import Record
 
@@ -39,51 +43,89 @@ def assign_words_to_columns(
             for ln, row in zip(lines, cells)]
 
 
+def assign_dynamic_batch(
+    doc_lines: np.ndarray,
+    span_starts: np.ndarray,
+    sx1: np.ndarray,
+    sx2: np.ndarray,
+    stext: np.ndarray,
+    is_num: np.ndarray,
+    cols: ColumnModel,
+    tok_starts: np.ndarray,
+    tok_text: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every line of a batch → its record cells (``assign_dynamic.py:38-72``):
+    returns ``(label, values, num_count)`` per line, ``values`` an
+    ``(n_lines, width)`` object array whose first ``cols.count[d]`` cells
+    are doc ``d``'s.
+
+    Label = the text spans left of the doc's first numeric column, joined
+    and stripped; numeric spans → :func:`..geometry.locate_grouped`
+    (nearest boundary), first non-empty text wins per cell. A doc without
+    columns gets one cell per line: its tokens (``tok_text``, line ``k``
+    owning ``tok_starts[k]:tok_starts[k + 1]``) joined, not its spans.
+    """
+    n_lines = len(span_starts) - 1
+    line_doc = np.repeat(np.arange(len(doc_lines) - 1), np.diff(doc_lines))
+    span_line = np.repeat(np.arange(n_lines), np.diff(span_starts))
+    span_doc = line_doc[span_line]
+    k = cols.count[span_doc]
+    order = np.argsort(np.where(np.arange(cols.lo.shape[1]) < cols.count[:, None], cols.lo,
+                                np.iinfo(np.int64).max), axis=1, kind="stable")
+    lo = np.take_along_axis(cols.lo, order, axis=1)
+    hi = np.take_along_axis(cols.hi, order, axis=1)
+    width = lo.shape[1]
+
+    # numeric spans → columns; the first span with text wins a cell
+    num = np.flatnonzero(is_num & (k > 0))
+    col = locate_grouped((sx1[num] + sx2[num]) / 2.0, span_doc[num], lo, hi, cols.count,
+                         closed="both", fallback="boundary")
+    text = np.empty(len(num), dtype=object)
+    text[:] = [t.strip() for t in stext[num]]
+    has_text = text.astype(bool)
+    num, col, text = num[has_text], col[has_text], text[has_text]
+    _, first = np.unique(span_line[num] * width + col, return_index=True)
+    values = np.full((n_lines, width), "", dtype=object)
+    values[span_line[num[first]], col[first]] = text[first]
+    num_count = np.bincount(span_line[num[first]], minlength=n_lines)
+
+    # labels: the text spans left of the first column, per line
+    left = np.flatnonzero(~is_num & (k > 0) & (sx1 < lo[span_doc, 0] if width else False))
+    label = np.full(n_lines, "", dtype=object)
+    bounds = np.searchsorted(span_line[left], np.arange(n_lines + 1))
+    words = stext[left].tolist()
+    lines = np.flatnonzero(np.diff(bounds) > 0)
+    label[lines] = [" ".join(words[a:b]).strip()
+                    for a, b in zip(bounds[lines].tolist(), bounds[lines + 1].tolist())]
+    bare = np.flatnonzero(cols.count[line_doc] == 0)
+    if len(bare):
+        tokens = tok_text.tolist()
+        label[bare] = [" ".join(tokens[a:b]) for a, b in zip(tok_starts[bare].tolist(),
+                                                             tok_starts[bare + 1].tolist())]
+    return label, values, num_count
+
+
 def assign_dynamic(
     lines: Sequence[Line],
     toks: TokenSOA,
     numeric_columns: Sequence[Tuple[int, int]],
     spans_per_line=None,
 ) -> List[Record]:
-    """Label = text spans left of the first numeric column; numeric spans
-    → nearest interval, first-wins per cell (``assign_dynamic.py:38-72``).
-    ``spans_per_line`` are the shared :func:`..geometry.adaptive_line_spans`."""
-    records: List[Record] = []
-    if not numeric_columns:
-        for ln in lines:
-            # ln.idx is already x-sorted
-            label = " ".join(toks.text[ln.idx])
-            records.append(
-                Record(page=ln.page, y_top=ln.y1, y_bot=ln.y2, cells=[label], num_count=0)
-            )
-        return records
-
-    cols = sorted(numeric_columns, key=lambda ab: ab[0])
-    first_left = cols[0][0]
+    """One doc's :func:`assign_dynamic_batch`, as records. ``spans_per_line``
+    are the shared :func:`..geometry.adaptive_line_spans`."""
     if spans_per_line is None:
         spans_per_line = adaptive_line_spans(lines, toks)
-
-    col = iter(locate([(x1 + x2) / 2.0 for spans in spans_per_line
-                       for (x1, x2, _txt, num) in spans if num],
-                      cols, closed="both", fallback="boundary").tolist())
-    for ln, spans in zip(lines, spans_per_line):
-        label = " ".join(txt for (x1, _, txt, num) in spans if not num and x1 < first_left).strip()
-        values = [""] * len(cols)
-        for (_x1, _x2, txt, num) in spans:
-            if num:
-                j = next(col)
-                values[j] = values[j] or txt.strip()
-
-        records.append(
-            Record(
-                page=ln.page,
-                y_top=ln.y1,
-                y_bot=ln.y2,
-                cells=[label] + values,
-                num_count=sum(1 for v in values if v),
-            )
-        )
-    return records
+    iv = np.array(numeric_columns, dtype=np.int64).reshape(1, -1, 2)
+    cols = ColumnModel(iv[..., 0], iv[..., 1], np.array([iv.shape[1]]),
+                       np.full(iv.shape[:2], "", dtype=object))
+    _, _, text, starts = gather_lines(lines, toks)
+    label, values, num_count = assign_dynamic_batch(
+        np.array([0, len(lines)]), *line_span_arrays(spans_per_line), cols, starts, text)
+    k = iv.shape[1]
+    return [Record(page=ln.page, y_top=ln.y1, y_bot=ln.y2, cells=[lab] + vals[:k],
+                   num_count=int(n))
+            for ln, lab, vals, n in zip(lines, label.tolist(), values.tolist(),
+                                        num_count.tolist())]
 
 
 def assign_financial(

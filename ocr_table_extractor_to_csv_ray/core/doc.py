@@ -22,9 +22,9 @@ class TokenSOA:
     entries may be ``None``); coordinates are int64.  All arrays share
     length; slices of batch-level arrays are fine (kernels never mutate).
 
-    ``lines`` / ``line_spans`` optionally carry this doc's visual lines and
-    dynamic-layout spans, computed by a whole-batch pass
-    (``stages/extract.py``); ``None`` means the kernel computes them.
+    ``lines`` optionally carries this doc's visual lines, computed by a
+    whole-batch pass (``stages/extract.py``); ``None`` means the kernel
+    computes them.
     """
 
     text: np.ndarray
@@ -35,7 +35,6 @@ class TokenSOA:
     y2: np.ndarray
     line_id: Optional[np.ndarray] = None   # None => no token carries a line id
     lines: Optional[list] = None
-    line_spans: Optional[list] = None
 
     def __len__(self) -> int:
         return len(self.text)

@@ -9,24 +9,26 @@ is accumulated with a difference array + cumsum instead of the
 reference's O(tokens × width) slice-adds — identical profile, linear
 cost, which matters for very wide multi-page documents.
 
-Line building (:func:`build_lines_batch`) and span merging
-(:func:`merge_spans`) take a whole batch of documents at once: sorts,
-segment reductions and running maxima over the batch's flat token arrays,
-with one Python loop left, the running-band line sweep. The per-document
-entry points (:func:`build_lines`, :func:`adaptive_line_spans`,
-:func:`line_spans`) call the same code on a one-document batch.
+Line building (:func:`build_lines_batch`), span merging
+(:func:`merge_spans`) and percentiles (:func:`fast_percentile`) take a
+whole batch of documents at once: sorts, segment reductions and running
+maxima over the batch's flat token arrays, with one Python loop left, the
+running-band line sweep. The per-document entry points
+(:func:`build_lines`, :func:`adaptive_line_spans`, :func:`line_spans`)
+call the same code on a one-document batch.
 
 Every layout then runs the same two steps. The profile becomes intervals:
 :func:`cut_intervals` (the generic paths) and :func:`profile_intervals`
 (the model paths: a >= 1 px end guard and a full-extent fallback). Each
 point then goes to the interval that holds it, :func:`locate`, called once
-per document per site. The reference writes the second step once per
-module, each with its own quirk; here each quirk is one argument:
+per document per site, or :func:`locate_grouped` once per batch over
+every document's padded intervals. The reference writes the second step
+once per module, each with its own quirk; here each quirk is one argument:
 
 * ``closed="both", fallback="boundary"``:
   ``assigners.assign_words_to_columns``, per token (``assign.py:17-24``);
-  ``assigners.assign_dynamic``, per numeric span, and
-  ``colmodel.year_headers_from_top`` (``assign_dynamic.py:62-67``).
+  ``assigners.assign_dynamic_batch``, per numeric span, and the year
+  headers of ``colmodel.numeric_columns_batch`` (``assign_dynamic.py:62-67``).
 * ``closed="left", fallback=None`` (the point is dropped):
   ``records.merge_lines_into_rows``, record → row (``rows.py:54-61``);
   ``gridpro.professional_grid``, token → column (``grid_builder.py:134-142``).
@@ -278,12 +280,45 @@ def locate(points, intervals: Sequence[Tuple[int, int]], closed: str = "both",
     if not len(intervals):
         return np.full(p.shape, -1, dtype=np.int64)
     lo, hi = np.asarray(intervals, dtype=np.float64).T
-    d_lo, d_hi = p[:, None] - lo, p[:, None] - hi
+    return _locate(p[:, None], lo, hi, closed, fallback)
+
+
+def locate_grouped(points, group: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                   count: np.ndarray, closed: str = "both",
+                   fallback: Optional[str] = "boundary") -> np.ndarray:
+    """:func:`locate` for points of many groups at once: point ``i`` looks
+    only at the first ``count[g]`` intervals ``(lo[g, j], hi[g, j])`` of its
+    group ``g = group[i]`` (rows of ``lo``/``hi`` are padded past ``count``);
+    -1 for a group without intervals. The mask is points × the widest
+    group."""
+    p = np.asarray(points, dtype=np.float64)
+    width = np.shape(lo)[1]
+    if width == 0:
+        return np.full(p.shape, -1, dtype=np.int64)
+    n = np.asarray(count)[group]
+    pad = np.arange(width) >= n[:, None]
+    res = _locate(p[:, None], np.asarray(lo, dtype=np.float64)[group],
+                  np.asarray(hi, dtype=np.float64)[group], closed, fallback,
+                  pad if pad.any() else None)
+    res[n == 0] = -1
+    return res
+
+
+def _locate(p: np.ndarray, lo: np.ndarray, hi: np.ndarray, closed: str,
+            fallback: Optional[str], pad: Optional[np.ndarray] = None) -> np.ndarray:
+    """The one rule of :func:`locate` on points ``p`` (a column) against
+    intervals ``lo``/``hi`` that broadcast to points × intervals; ``pad``
+    masks intervals out."""
+    d_lo, d_hi = p - lo, p - hi
     out = (d_lo < 0) | ((d_hi >= 0) if closed == "left" else (d_hi > 0))
+    if pad is not None:
+        out |= pad
     if fallback is None:
         return np.where(out.all(axis=1), -1, out.argmin(axis=1))
-    dist = (np.abs(p[:, None] - (lo + hi) / 2.0) if fallback == "centre"
+    dist = (np.abs(p - (lo + hi) / 2.0) if fallback == "centre"
             else np.minimum(np.abs(d_lo), np.abs(d_hi)))
+    if pad is not None:
+        dist[pad] = np.inf
     # a held point scores -1, below every distance: argmin's first-minimum
     # rule picks the first holding interval, else the first nearest one
     return np.where(out, dist, -1.0).argmin(axis=1)
@@ -337,26 +372,31 @@ def estimate_columns(
     return intervals
 
 
-def fast_percentile(a: np.ndarray, q: float) -> float:
-    """Bit-exact ``np.percentile(a, q)`` (default 'linear' method) for
-    small 1-D float arrays, without numpy's ~100 µs of dispatch machinery
-    (the dynamic column model's global-gap fallback calls it once per doc).
+def fast_percentile(values: np.ndarray, starts: np.ndarray, q: float) -> np.ndarray:
+    """Bit-exact ``np.percentile(values[starts[k]:starts[k + 1]], q)``
+    (default 'linear' method) of every segment ``k`` at once, in float64;
+    0.0 for an empty segment.
 
-    Replicates numpy's lerp exactly, including the ``t >= 0.5`` branch
-    that computes from the right endpoint (numpy ``_lerp``), so callers'
-    ``int()`` truncation sees identical values.
+    Sorts within segments, then replicates numpy's lerp exactly, including
+    the ``t >= 0.5`` branch that computes from the right endpoint (numpy
+    ``_lerp``), so callers' ``int()`` truncation sees identical values.
     """
-    a = np.sort(a)
-    n = a.size
+    starts = np.asarray(starts, dtype=np.int64)
+    n = np.diff(starts)
+    seg = np.repeat(np.arange(len(n)), n)
+    vals = np.asarray(values, dtype=np.float64)
+    vals = vals[np.lexsort((vals, seg))]
+    out = np.zeros(len(n), dtype=np.float64)
+    has = n > 0
+    n, first = n[has], starts[:-1][has]
     vi = (q / 100.0) * (n - 1)
-    lo = int(vi)
+    lo = vi.astype(np.int64)
     t = vi - lo
-    x = a[lo]
-    if t == 0.0:
-        return float(x)
-    y = a[lo + 1 if lo + 1 < n else n - 1]
+    x = vals[first + lo]
+    y = vals[first + np.minimum(lo + 1, n - 1)]
     d = y - x
-    return float(x + d * t) if t < 0.5 else float(y - d * (1.0 - t))
+    out[has] = np.where(t == 0.0, x, np.where(t < 0.5, x + d * t, y - d * (1.0 - t)))
+    return out
 
 
 def adaptive_gaps(x1: np.ndarray, x2: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -364,29 +404,16 @@ def adaptive_gaps(x1: np.ndarray, x2: np.ndarray, starts: np.ndarray) -> np.ndar
     positions ``starts[k]:starts[k + 1]``): the 95th percentile of the
     line's positive inter-token gaps, floored at 12, default 18 when it
     has none (reference ``column_model.py:18-27`` ≡ ``assign_dynamic.py:12-19``).
-    One vectorized pass: positive gaps sorted within their line, then the
-    lerp of :func:`fast_percentile` for every line at once, in float64.
+    One vectorized pass: the positive gaps of every line, then
+    :func:`fast_percentile` of every line at once.
     """
     n_lines = len(starts) - 1
     line = np.repeat(np.arange(n_lines), np.diff(starts))
     gaps = x1[1:] - x2[:-1]
     ok = (line[1:] == line[:-1]) & (gaps > 0)
-    gaps, gap_line = gaps[ok].astype(float), line[1:][ok]
-    gaps = gaps[np.lexsort((gaps, gap_line))]
-    n_g = np.bincount(gap_line, minlength=n_lines)
-    first = np.concatenate(([0], np.cumsum(n_g)[:-1]))
-    out = np.full(n_lines, 18, dtype=np.int64)
-    has = n_g > 0
-    n_g, first = n_g[has], first[has]
-    vi = 0.95 * (n_g - 1)
-    lo = vi.astype(np.int64)
-    t = vi - lo
-    x = gaps[first + lo]
-    y = gaps[first + np.minimum(lo + 1, n_g - 1)]
-    d = y - x
-    pctl = np.where(t == 0.0, x, np.where(t < 0.5, x + d * t, y - d * (1.0 - t)))
-    out[has] = np.maximum(12, pctl.astype(np.int64))
-    return out
+    n_g = np.bincount(line[1:][ok], minlength=n_lines)
+    pctl = fast_percentile(gaps[ok], np.concatenate(([0], np.cumsum(n_g))), 95.0)
+    return np.where(n_g > 0, np.maximum(12, pctl.astype(np.int64)), 18)
 
 
 def merge_spans(x1: np.ndarray, x2: np.ndarray, text: np.ndarray, starts: np.ndarray,
@@ -439,6 +466,20 @@ def group_by_line(span_starts: np.ndarray, *cols) -> List[List[tuple]]:
     return [rows[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
+def line_span_arrays(spans_per_line: Sequence[Sequence[Tuple[int, int, str, bool]]]
+                     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(span_starts, x1, x2, text, is_num)`` of one doc's per-line span
+    tuples, as :func:`dynamic_spans` returns them (the inverse of
+    :func:`group_by_line`)."""
+    flat = [s for spans in spans_per_line for s in spans]
+    texts = np.empty(len(flat), dtype=object)
+    texts[:] = [s[2] for s in flat]
+    return (np.concatenate(([0], np.cumsum([len(s) for s in spans_per_line], dtype=np.int64))),
+            np.array([s[0] for s in flat], dtype=np.int64),
+            np.array([s[1] for s in flat], dtype=np.int64), texts,
+            np.array([bool(s[3]) for s in flat], dtype=bool))
+
+
 def line_spans(lines: Sequence[Line], toks: TokenSOA, max_gap_px: int
                ) -> List[List[Tuple[int, int, str]]]:
     """Per-line spans ``(x1, x2, text)`` of one doc with a fixed gap."""
@@ -449,20 +490,23 @@ def line_spans(lines: Sequence[Line], toks: TokenSOA, max_gap_px: int
 
 
 def dynamic_spans(x1: np.ndarray, x2: np.ndarray, text: np.ndarray, starts: np.ndarray
-                  ) -> List[List[Tuple[int, int, str, bool]]]:
-    """Per-line spans ``(x1, x2, text, is_num)`` of the dynamic layout for
-    x1-sorted lines of any number of docs: the per-line adaptive gap
-    (:func:`adaptive_gaps`), one :func:`merge_spans` and one test of the
-    numeric span grammar F1 over every span text. The column model and
-    the assigner share them (the reference recomputes the identical spans
-    in both, ``column_model.py:110-117`` and ``assign_dynamic.py:50-55``).
+                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Spans of the dynamic layout for x1-sorted lines of any number of
+    docs: the per-line adaptive gap (:func:`adaptive_gaps`), one
+    :func:`merge_spans` and one test of the numeric span grammar F1 over
+    every span text. Returns ``(span_starts, x1, x2, text, is_num)`` with
+    ``text`` an object array. The column model and the assigner share
+    them (the reference recomputes the identical spans in both,
+    ``column_model.py:110-117`` and ``assign_dynamic.py:50-55``).
     """
     span_starts, sx1, sx2, stext = merge_spans(x1, x2, text, starts,
                                                adaptive_gaps(x1, x2, starts))
-    return group_by_line(span_starts, sx1, sx2, stext, num_span_flags(stext))
+    texts = np.empty(len(stext), dtype=object)
+    texts[:] = stext
+    return span_starts, sx1, sx2, texts, num_span_flags(stext)
 
 
 def adaptive_line_spans(lines: Sequence[Line], toks: TokenSOA
                         ) -> List[List[Tuple[int, int, str, bool]]]:
-    """One doc's :func:`dynamic_spans`."""
-    return dynamic_spans(*gather_lines(lines, toks))
+    """One doc's :func:`dynamic_spans`, per line ``(x1, x2, text, is_num)``."""
+    return group_by_line(*dynamic_spans(*gather_lines(lines, toks)))

@@ -1,25 +1,32 @@
-"""Per-document layout dispatch (reference ``main.py:57-163``).
+"""Layout dispatch (reference ``main.py:57-163``).
 
-One pure function: tokens in, (header, rows[, numeric rows]) out.  The
-Ray pipeline applies this per document inside ``map_batches``; layout is
-selectable per run or per row (SURVEY.md §2.11 — the reference's
-strategy-pattern extension point).
+:func:`extract_document` is one pure function: one document's tokens in,
+(header, rows[, numeric rows]) out. The Ray pipeline applies it per
+document inside ``map_batches`` for the generic, financial and
+professional layouts; the dynamic layout runs over every dynamic document
+of a batch at once (:func:`dynamic_grids`), and ``extract_document`` calls
+the same code on one document. Layout is selectable per run or per row
+(SURVEY.md §2.11 — the reference's strategy-pattern extension point).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Tuple
+
+import numpy as np
 
 from ..config import LayoutConfig
-from .assigners import assign_dynamic, assign_financial, assign_words_to_columns
-from .colmodel import infer_numeric_columns
+from .assigners import assign_dynamic_batch, assign_financial, assign_words_to_columns
+from .colmodel import numeric_columns_batch
 from .doc import TokenSOA
-from .geometry import adaptive_line_spans, build_lines, estimate_columns
+from .geometry import build_lines, dynamic_spans, estimate_columns, gather_lines
 from .gridpro import professional_grid
 from .numeric import to_number
 from .postprocess import fill_missing_labels_and_clean
-from .records import detect_header_row, merge_financial_rows, merge_lines_into_rows
+from .records import (detect_header_row, merge_financial_rows, merge_lines_into_rows,
+                      merge_rows_batch)
+from .spans import GridRows
 
 LAYOUTS = ("generic", "dynamic", "financial", "professional")
 
@@ -40,26 +47,60 @@ class DocResult:
         return max(widths) if widths else 0
 
 
-def _resolve_header(num_columns: int, names: Optional[List[str]]) -> List[str]:
-    """``["Cuenta", names[i] or "Valor_{i+1}", ...]`` (``main.py:46-54``)."""
-    numeric = []
-    for i in range(num_columns):
-        if names and i < len(names) and names[i]:
-            numeric.append(str(names[i]))
-        else:
-            numeric.append(f"Valor_{i + 1}")
-    return ["Cuenta"] + numeric
+def dynamic_grids(doc_lines: np.ndarray, y1: np.ndarray, y2: np.ndarray, starts: np.ndarray,
+                  x1: np.ndarray, x2: np.ndarray, text: np.ndarray, cfg: LayoutConfig
+                  ) -> Tuple[GridRows, GridRows, np.ndarray, np.ndarray]:
+    """The dynamic layout (``main.py:124-140``) of every doc of a batch, in
+    whole-batch passes: spans (:func:`.geometry.dynamic_spans`), column
+    model (:func:`.colmodel.numeric_columns_batch`), assignment
+    (:func:`.assigners.assign_dynamic_batch`), row merge
+    (:func:`.records.merge_rows_batch`), header and numeric rows.
 
+    Doc ``d`` owns the lines ``doc_lines[d]:doc_lines[d + 1]`` (bands
+    ``y1``/``y2``); line ``k`` owns the x1-sorted tokens
+    ``starts[k]:starts[k + 1]`` of ``x1``/``x2``/``text``. Returns the grid
+    rows of ``spans`` and of ``spans_numeric`` (the header is ``Cuenta``
+    then each column's year or ``Valor_{i+1}``; numeric cells go through
+    :func:`.numeric.to_number`, ``exporters.py:36-48``) and ``n_rows`` /
+    ``n_cols`` per doc. A doc without lines gets no rows.
+    """
+    n_docs = len(doc_lines) - 1
+    span_starts, sx1, sx2, stext, is_num = dynamic_spans(x1, x2, text, starts)
+    cols = numeric_columns_batch(doc_lines, y1, span_starts, sx1, sx2, stext, is_num,
+                                 min_sep_px=cfg.min_sep_px, cut_quantile=cfg.cut_quantile,
+                                 pad_px=cfg.pad_px, max_cols=cfg.max_numeric_cols)
+    label, values, num_count = assign_dynamic_batch(doc_lines, span_starts, sx1, sx2, stext,
+                                                    is_num, cols, starts, text)
+    line_doc = np.repeat(np.arange(n_docs), np.diff(doc_lines))
+    first, row_label, row_values, row_width = merge_rows_batch(
+        doc_lines, y1, y2, num_count, label, values, 1 + cols.count[line_doc],
+        cfg.row_merge_factor)
+    row_doc = line_doc[first]
+    n_rows = np.bincount(row_doc, minlength=n_docs)
+    docs = np.flatnonzero(n_rows)
+    width = values.shape[1]
 
-def _numeric_rows(rows: List[List[str]]) -> List[List[str]]:
-    """Column-0-is-label normalization (``exporters.py:36-48``)."""
-    out: List[List[str]] = []
-    for r in rows:
-        if not r:
-            out.append(list(r))
-            continue
-        out.append([r[0]] + [to_number(x) for x in r[1:]])
-    return out
+    header = np.empty((len(docs), 1 + width), dtype=object)
+    header[:, 0] = "Cuenta"
+    names = cols.names[docs]
+    header[:, 1:] = np.where(names.astype(bool), names,
+                             np.array([f"Valor_{i + 1}" for i in range(width)], dtype=object))
+    body = np.empty((len(first), 1 + width), dtype=object)
+    body[:, 0] = row_label
+    body[:, 1:] = row_values
+    cells = row_values.ravel().tolist()
+    number = {v: to_number(v) for v in set(cells)}
+    numeric = body.copy()
+    numeric[:, 1:] = np.array([number[v] for v in cells], dtype=object).reshape(row_values.shape)
+
+    doc = np.concatenate((docs, row_doc))
+    length = np.concatenate((1 + cols.count[docs], row_width))
+    is_header = np.arange(len(doc)) < len(docs)
+    inside = np.arange(1 + width) < length[:, None]
+    grids = [GridRows(doc, length, is_header, np.vstack((header, rows))[inside])
+             for rows in (body, numeric)]
+    n_cols = np.where(n_rows > 0, 1 + cols.count, 0)
+    return grids[0], grids[1], n_rows, n_cols
 
 
 def extract_document(toks: TokenSOA, cfg: LayoutConfig) -> DocResult:
@@ -89,23 +130,15 @@ def extract_document(toks: TokenSOA, cfg: LayoutConfig) -> DocResult:
         return DocResult(header=["Cuenta", "Valor_1", "Valor_2"], rows=rows)
 
     if layout == "dynamic":
-        spans_per_line = (toks.line_spans if toks.line_spans is not None
-                          else adaptive_line_spans(lines, toks))   # shared, computed once
-        intervals, names = infer_numeric_columns(
-            lines, toks,
-            min_sep_px=cfg.min_sep_px,
-            cut_quantile=cfg.cut_quantile,
-            pad_px=cfg.pad_px,
-            max_cols=cfg.max_numeric_cols,
-            spans_per_line=spans_per_line,
-        )
-        records = assign_dynamic(lines, toks, intervals, spans_per_line=spans_per_line)
-        rows = merge_financial_rows(records, cfg.row_merge_factor)
-        if not rows:
+        x1, x2, text, starts = gather_lines(lines, toks)
+        spans, numeric, n_rows, _ = dynamic_grids(
+            np.array([0, len(lines)]), np.array([ln.y1 for ln in lines], dtype=np.int64),
+            np.array([ln.y2 for ln in lines], dtype=np.int64), starts, x1, x2, text, cfg)
+        if not n_rows[0]:
             return DocResult()
-        num_cols = max(len(r) for r in rows) - 1
-        header = _resolve_header(max(num_cols, 0), names)
-        return DocResult(header=header, rows=rows, rows_numeric=_numeric_rows(rows))
+        (header, rows), = spans.grids(1)
+        (_, rows_numeric), = numeric.grids(1)
+        return DocResult(header=header, rows=rows, rows_numeric=rows_numeric)
 
     if layout == "generic":
         intervals = estimate_columns(

@@ -8,8 +8,9 @@ contract for span-equality:
   (``rows.py:54-61``);
 * within a row, cells are right-padded to the longest record before the
   cell-wise space-join merge (``rows.py:69-78``);
-* ``merge_financial_rows`` never merges two value-bearing lines
-  (``rows.py:110-115``);
+* ``merge_rows_batch`` (one doc: ``merge_financial_rows``) never merges
+  two value-bearing lines (``rows.py:110-115``); it runs over every doc
+  of a batch at once, with one sequential scan over the record arrays;
 * header default is simply the first row (``rows.py:146,162``).
 """
 
@@ -95,45 +96,88 @@ def merge_lines_into_rows(
     return final_rows
 
 
+def merge_rows_batch(
+    doc_recs: np.ndarray,
+    y_top: np.ndarray,
+    y_bot: np.ndarray,
+    num_count: np.ndarray,
+    label: np.ndarray,
+    values: np.ndarray,
+    width: np.ndarray,
+    row_merge_factor: float = 1.30,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Adjacent-line merge for wrapped labels (reference ``rows.py:83-134``)
+    over every doc of a batch: doc ``d`` owns records
+    ``doc_recs[d]:doc_recs[d + 1]``; record ``r`` has ``width[r]`` cells,
+    ``label[r]`` then ``values[r, :width[r] - 1]``.
+
+    Gap tolerance = ``int(row_merge_factor * statistics.median(line
+    heights))`` per doc; a record merges into the open row when its gap to
+    the row's running bottom is within it and it carries no numbers, or
+    the row carries none (label wrap, label → values). One sequential scan
+    finds the rows; then labels join (``_join_cells``), value cells keep
+    the first non-empty one and a row is as wide as its narrowest record.
+
+    Returns ``(first, label, values, width)`` per row, ``first`` its first
+    record.
+    """
+    n_recs = len(y_top)
+    bounds, tops, bots, nums = (np.asarray(v).tolist() for v in (doc_recs, y_top, y_bot, num_count))
+    opens: List[bool] = []
+    for a, b in zip(bounds, bounds[1:]):
+        if a == b:
+            continue
+        max_gap = int(row_merge_factor * median([bots[r] - tops[r] for r in range(a, b)]))
+        cur_num = prev_bot = 0
+        for r in range(a, b):
+            num = nums[r]
+            if (r > a and tops[r] - prev_bot <= max_gap
+                    and (num == 0 or (cur_num == 0 and num > 0))):
+                opens.append(False)
+                if num > cur_num:
+                    cur_num = num
+                if bots[r] > prev_bot:
+                    prev_bot = bots[r]
+            else:
+                opens.append(True)
+                cur_num, prev_bot = num, bots[r]
+
+    first = np.flatnonzero(np.array(opens, dtype=bool))
+    row_width = np.minimum.reduceat(width, first) if len(first) else width
+    row_label = label[first]
+    size = np.diff(np.append(first, n_recs))
+    multi = np.flatnonzero(size > 1)
+    labels = label.tolist()
+    for g, a, b in zip(multi.tolist(), first[multi].tolist(), (first + size)[multi].tolist()):
+        cell = labels[a]
+        for nxt in labels[a + 1:b]:
+            cell = _join_cells(cell, nxt)
+        row_label[g] = cell
+    # first non-empty value of each row's records, per column
+    filled = np.where(values.astype(bool), np.arange(n_recs)[:, None], n_recs)
+    pick = np.minimum.reduceat(filled, first, axis=0) if len(first) else filled
+    padded = np.vstack((values, np.full((1, values.shape[1]), "", dtype=object)))
+    row_values = padded[pick, np.arange(values.shape[1])]
+    return first, row_label, row_values, row_width
+
+
 def merge_financial_rows(
     records: Sequence[Record], row_merge_factor: float = 1.30
 ) -> List[List[str]]:
-    """Adjacent-line merge for wrapped labels (reference ``rows.py:83-134``).
-
-    Gap tolerance = ``int(row_merge_factor * median(line heights))``;
-    merge when the next line carries no numbers (label wrap) or when the
-    current carries none and the next does (label→values); label cells
-    concatenate, numeric cells are first-non-empty-wins.
-    """
+    """One doc's :func:`merge_rows_batch` over its records' cells."""
     if not records:
         return []
-    heights = [r.y_bot - r.y_top for r in records]
-    h_med = median(heights) if heights else 12
-    max_gap = int(row_merge_factor * h_med)
-
-    rows: List[List[str]] = []
-    cur = list(records[0].cells)
-    cur_num = int(records[0].num_count)
-    prev_bot = records[0].y_bot
-
-    for r in records[1:]:
-        gap = r.y_top - prev_bot
-        r_num = int(r.num_count)
-        should = gap <= max_gap and (r_num == 0 or (cur_num == 0 and r_num > 0))
-        if should:
-            merged: List[str] = []
-            for pos, (a, b) in enumerate(zip(cur, r.cells)):
-                merged.append(_join_cells(a, b) if pos == 0 else (a if a else b))
-            cur = merged
-            cur_num = max(cur_num, r_num)
-            prev_bot = max(prev_bot, r.y_bot)
-        else:
-            rows.append(cur)
-            cur = list(r.cells)
-            cur_num = r_num
-            prev_bot = r.y_bot
-    rows.append(cur)
-    return rows
+    width = [len(r.cells) for r in records]
+    pad = [""] * max(max(width, default=1), 1)
+    cells = np.empty((len(records), len(pad)), dtype=object)
+    cells[:] = [(r.cells + pad)[:len(pad)] for r in records]
+    _, row_label, row_values, row_width = merge_rows_batch(
+        np.array([0, len(records)]), np.array([r.y_top for r in records], dtype=np.int64),
+        np.array([r.y_bot for r in records], dtype=np.int64),
+        np.array([int(r.num_count) for r in records], dtype=np.int64),
+        cells[:, 0], cells[:, 1:], np.array(width, dtype=np.int64), row_merge_factor)
+    return [([lab] + vals)[:w] for lab, vals, w in zip(row_label.tolist(), row_values.tolist(),
+                                                       row_width.tolist())]
 
 
 def detect_header_row(

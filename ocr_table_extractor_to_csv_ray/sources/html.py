@@ -23,7 +23,7 @@ from typing import Dict, List, Optional
 
 import pyarrow as pa
 
-from ..core.spans import grid_to_spans
+from ..core.spans import encode_rows, grid_rows
 
 SKIP_CONTAINERS = frozenset(
     ["script", "style", "noscript", "nav", "header", "footer", "aside",
@@ -175,11 +175,9 @@ def html_tables_batch(batch: pa.Table, html_column: str = "html") -> pa.Table:
     ``(doc_id, table_idx, n_rows, n_cols, spans)`` — same output span
     contract as the OCR reconstruction (first row = header, reference
     default ``rows.py:146``)."""
-    from ..stages.extract import make_span_column
-
     ids = batch["doc_id"].to_pylist()
     htmls = batch[html_column].to_pylist()
-    o_id, o_idx, o_nr, o_nc, spans = [], [], [], [], []
+    o_id, o_idx, o_nr, o_nc, grids = [], [], [], [], []
     for doc_id, h in zip(ids, htmls):
         for ti, grid in enumerate(extract_main_content(h)["tables"]):
             header, rows = grid[0], grid[1:]
@@ -187,13 +185,13 @@ def html_tables_batch(batch: pa.Table, html_column: str = "html") -> pa.Table:
             o_idx.append(ti)
             o_nr.append(len(rows))
             o_nc.append(max((len(r) for r in grid), default=0))
-            spans.append(grid_to_spans(header, rows))
+            grids.append((header, rows))
     return pa.table({
         "doc_id": pa.array(o_id, pa.string()),
         "table_idx": pa.array(o_idx, pa.int32()),
         "n_rows": pa.array(o_nr, pa.int32()),
         "n_cols": pa.array(o_nc, pa.int32()),
-        "spans": make_span_column(spans),
+        "spans": encode_rows(grid_rows(grids), len(grids)),
     })
 
 

@@ -2,10 +2,13 @@
 
 One batch holds many documents (one row each, ``spans`` list column).
 The whole batch is decoded ONCE into flat numpy arrays (vectorized
-``pyarrow.compute`` kernels — no per-row ``to_pylist``); the crop, line
-building and the dynamic layout's spans run once over those arrays; then
-the pure per-document kernel (:func:`core.layouts.extract_document`) runs
-over offset slices.  Stateless → plain function → Ray task stage.
+``pyarrow.compute`` kernels — no per-row ``to_pylist``); the crop and line
+building run once over those arrays. The dynamic documents then stay in
+flat arrays through the whole layout (:func:`core.layouts.dynamic_grids`:
+column model, assignment, row merge, numeric rows) until their grid rows
+reach the one span encoder (:func:`core.spans.encode_rows`); the pure
+per-document kernel (:func:`core.layouts.extract_document`) runs the other
+layouts over offset slices. Stateless → plain function → Ray task stage.
 """
 
 from __future__ import annotations
@@ -18,16 +21,10 @@ import pyarrow.compute as pc
 
 from ..config import LayoutConfig
 from ..core.doc import TokenSOA
-from ..core.geometry import build_lines_batch, dynamic_spans
-from ..core.layouts import DocResult, extract_document
-from ..core.spans import BBOX_PATTERN, KIND_WORD, flat_spans, grid_to_spans
-
-SPAN_TYPE = pa.struct([
-    ("kind", pa.string()),
-    ("text", pa.string()),
-    ("media_ref", pa.string()),
-    ("offset", pa.int32()),
-])
+from ..core.geometry import build_lines_batch
+from ..core.layouts import DocResult, dynamic_grids, extract_document
+from ..core.spans import (BBOX_PATTERN, KIND_WORD, GridRows, encode_rows, flat_spans,
+                          grid_rows, span_list_column)
 
 
 def _combine(col):
@@ -91,17 +88,8 @@ def make_span_column(per_doc: Sequence[List[Tuple[str, str, str, int]]]) -> pa.L
             kinds.append(k)
             texts.append(t)
             offs.append(o)
-    struct = pa.StructArray.from_arrays(
-        [
-            pa.array(kinds, pa.string()),
-            pa.array(texts, pa.string()),
-            pa.array([""] * len(kinds), pa.string()),
-            pa.array(offs, pa.int32()),
-        ],
-        fields=list(SPAN_TYPE),
-    )
-    offsets = pa.array(np.concatenate(([0], np.cumsum(lengths))), pa.int32())
-    return pa.ListArray.from_arrays(offsets, struct)
+    return span_list_column(lengths, pa.array(kinds, pa.string()), pa.array(texts, pa.string()),
+                            np.array(offs, dtype=np.int64))
 
 
 def crop_token_batch(word_offsets: np.ndarray, toks: TokenSOA, has_lid: np.ndarray,
@@ -115,21 +103,25 @@ def crop_token_batch(word_offsets: np.ndarray, toks: TokenSOA, has_lid: np.ndarr
 
 
 def batch_line_inputs(word_offsets: np.ndarray, toks: TokenSOA, has_lid: np.ndarray,
-                      layouts: Sequence[str]) -> Tuple[List[list], List[Optional[list]]]:
-    """Per doc, its visual lines (every layout but ``professional``, whose
-    grid ignores them) and, for ``dynamic`` docs, its per-line spans —
-    each computed in one pass over the whole batch."""
+                      layouts: Sequence[str]) -> Tuple[List[list], tuple]:
+    """The visual lines of every doc but the ``professional`` ones (whose
+    grid ignores them), in one pass over the whole batch: per doc as
+    :class:`Line` lists (``[]`` for every doc when all are dynamic), and
+    for the ``dynamic`` docs as the flat arrays :func:`dynamic_grids`
+    takes, ``(docs, doc_lines, y1, y2, starts, x1, x2, text)``."""
     lb = build_lines_batch(word_offsets, toks, has_lid,
                            include=np.array([lay != "professional" for lay in layouts], dtype=bool))
     dyn = np.array([lay == "dynamic" for lay in layouts], dtype=bool)
-    dyn_lines = np.repeat(dyn, np.diff(lb.doc_lines))
+    n_lines = np.diff(lb.doc_lines)
+    dyn_lines = np.repeat(dyn, n_lines)
     sizes = np.diff(lb.starts)
     m = lb.members[np.repeat(dyn_lines, sizes)]
-    spans = dynamic_spans(toks.x1[m], toks.x2[m], toks.text[m],
-                          np.concatenate(([0], np.cumsum(sizes[dyn_lines]))))
-    bounds = np.concatenate(([0], np.cumsum(np.diff(lb.doc_lines) * dyn))).tolist()
-    spans_per_doc = [spans[a:b] if d else None for a, b, d in zip(bounds, bounds[1:], dyn)]
-    return lb.per_doc(word_offsets), spans_per_doc
+    dynamic = (np.flatnonzero(dyn), np.concatenate(([0], np.cumsum(n_lines[dyn]))),
+               lb.y1[dyn_lines], lb.y2[dyn_lines],
+               np.concatenate(([0], np.cumsum(sizes[dyn_lines]))),
+               toks.x1[m], toks.x2[m], toks.text[m])
+    lines = [[]] * len(layouts) if dyn.all() else lb.per_doc(word_offsets)
+    return lines, dynamic
 
 
 def extract_batch(tbl: pa.Table, cfg: LayoutConfig) -> pa.Table:
@@ -140,9 +132,11 @@ def extract_batch(tbl: pa.Table, cfg: LayoutConfig) -> pa.Table:
     strategies without splitting the pipeline. Rows with an empty /
     null layout value fall back to ``cfg.layout``.
 
-    The ``table_bbox`` crop, line building and the dynamic layout's spans
-    run once over the whole batch; the per-document kernel gets them with
-    its tokens.
+    The ``table_bbox`` crop and line building run once over the whole
+    batch; so does the whole dynamic layout (:func:`dynamic_grids`). The
+    other layouts run per document (:func:`extract_document`), where an
+    exception costs only that document its result. One encoder pass
+    builds each span column.
     """
     import dataclasses
 
@@ -166,23 +160,22 @@ def extract_batch(tbl: pa.Table, cfg: LayoutConfig) -> pa.Table:
                     cfg_cache[lay] = dataclasses.replace(cfg, layout=lay)
                 row_cfgs[i] = cfg_cache[lay]
                 out_layout[i] = lay
-    lines, spans = batch_line_inputs(word_offsets, toks, has_lid,
-                                     [(c.layout or "dynamic").lower() for c in row_cfgs])
+    layouts = [(c.layout or "dynamic").lower() for c in row_cfgs]
+    lines, (dyn_docs, *dyn_inputs) = batch_line_inputs(word_offsets, toks, has_lid, layouts)
 
-    span_out: List[List[Tuple[str, str, str, int]]] = []
-    numeric_out: List[List[Tuple[str, str, str, int]]] = []
     n_rows = np.zeros(n, dtype=np.int32)
     n_cols = np.zeros(n, dtype=np.int32)
     errors: List[str] = [""] * n
-    # Schema must be BATCH-INVARIANT: decide from config / input schema
-    # only, never from this batch's row values — otherwise blocks of one
-    # dataset disagree on whether ``spans_numeric`` exists and parquet /
-    # union schema unification breaks. With a ``layout`` column present
-    # ANY batch may contain dynamic rows, so always emit the column
-    # (empty lists for non-dynamic rows).
-    emit_numeric = cfg.layout == "dynamic" or row_layouts is not None
+    spans_parts: List[GridRows] = []
+    numeric = grid_rows([])
+    if len(dyn_docs):
+        spans, numeric, n_rows[dyn_docs], n_cols[dyn_docs] = dynamic_grids(*dyn_inputs, cfg)
+        spans_parts.append(spans._replace(doc=dyn_docs[spans.doc]))
+        numeric = numeric._replace(doc=dyn_docs[numeric.doc])
 
-    for i in range(n):
+    others = [i for i, lay in enumerate(layouts) if lay != "dynamic"]
+    grids = []
+    for i in others:
         lo, hi = word_offsets[i], word_offsets[i + 1]
         sl = slice(lo, hi)
         doc = TokenSOA(
@@ -194,7 +187,6 @@ def extract_batch(tbl: pa.Table, cfg: LayoutConfig) -> pa.Table:
             y2=toks.y2[sl],
             line_id=toks.line_id[sl] if has_lid[sl].any() else None,
             lines=lines[i],
-            line_spans=spans[i],
         )
         try:
             res: DocResult = extract_document(doc, row_cfgs[i])
@@ -203,15 +195,10 @@ def extract_batch(tbl: pa.Table, cfg: LayoutConfig) -> pa.Table:
             # (SURVEY.md §4.2 retries row): emit an empty result + error
             res = DocResult()
             errors[i] = f"{type(exc).__name__}: {exc}"[:200]
-        span_out.append(grid_to_spans(res.header, res.rows))
-        if emit_numeric:
-            numeric_out.append(
-                grid_to_spans(res.header, res.rows_numeric)
-                if res.rows_numeric is not None
-                else []
-            )
+        grids.append((res.header, res.rows))
         n_rows[i] = res.n_rows
         n_cols[i] = res.n_cols
+    spans_parts.append(grid_rows(grids, others))
 
     cols = {
         "doc_id": _combine(tbl["doc_id"]),
@@ -219,8 +206,14 @@ def extract_batch(tbl: pa.Table, cfg: LayoutConfig) -> pa.Table:
         "n_rows": pa.array(n_rows),
         "n_cols": pa.array(n_cols),
         "error": pa.array(errors, pa.string()),
-        "spans": make_span_column(span_out),
+        "spans": encode_rows(GridRows.concat(spans_parts), n),
     }
-    if emit_numeric:
-        cols["spans_numeric"] = make_span_column(numeric_out)
+    # Schema must be BATCH-INVARIANT: decide from config / input schema
+    # only, never from this batch's row values — otherwise blocks of one
+    # dataset disagree on whether ``spans_numeric`` exists and parquet /
+    # union schema unification breaks. With a ``layout`` column present
+    # ANY batch may contain dynamic rows, so always emit the column
+    # (empty lists for non-dynamic rows).
+    if cfg.layout == "dynamic" or row_layouts is not None:
+        cols["spans_numeric"] = encode_rows(numeric, n)
     return pa.table(cols)

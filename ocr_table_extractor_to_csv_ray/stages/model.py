@@ -29,10 +29,10 @@ from ..core.geometry import build_lines, estimate_columns
 from ..core.gridpro import professional_grid
 from ..core.layouts import DocResult
 from ..core.records import detect_header_row, merge_lines_into_rows
-from ..core.spans import grid_to_spans
+from ..core.spans import encode_rows, grid_rows
 from ..core.transformers_layout import Predictions, compose_table
 from ..core.assigners import assign_words_to_columns
-from .extract import decode_token_batch, make_span_column
+from .extract import decode_token_batch
 
 
 class LayoutScorerStage:
@@ -168,10 +168,10 @@ def transformers_extract_doc(toks: TokenSOA, labels: List[str],
         intervals = estimate_columns(lines, flat, expected_n_cols=target_cols)
         if intervals:
             records = assign_words_to_columns(lines, flat, intervals)
-            grid_rows = merge_lines_into_rows(records, lines, flat)
-            if grid_rows:
+            merged = merge_lines_into_rows(records, lines, flat)
+            if merged:
                 header_row, body = detect_header_row(
-                    grid_rows,
+                    merged,
                     header_regexes=list(cfg.header_regexes) if cfg.header_regexes else None)
                 return DocResult(header=header_row or [],
                                  rows=process_grid_data(body))
@@ -199,7 +199,7 @@ class TransformersExtractStage:
         word_offsets, toks, has_lid = decode_token_batch(batch["spans"])
         labels_col = batch["labels"].to_pylist()
         n = batch.num_rows
-        span_out, n_rows, n_cols = [], np.zeros(n, np.int32), np.zeros(n, np.int32)
+        grids, n_rows, n_cols = [], np.zeros(n, np.int32), np.zeros(n, np.int32)
         for i in range(n):
             sl = slice(word_offsets[i], word_offsets[i + 1])
             doc = TokenSOA(text=toks.text[sl], page=toks.page[sl],
@@ -208,7 +208,7 @@ class TransformersExtractStage:
             # labels list covers word spans in span order == token order
             labs = labels_col[i] or []
             res = transformers_extract_doc(doc, labs, self.cfg)
-            span_out.append(grid_to_spans(res.header, res.rows))
+            grids.append((res.header, res.rows))
             n_rows[i], n_cols[i] = res.n_rows, res.n_cols
         doc_id = batch["doc_id"].combine_chunks() if isinstance(batch["doc_id"], pa.ChunkedArray) else batch["doc_id"]
         return pa.table({
@@ -216,5 +216,5 @@ class TransformersExtractStage:
             "layout": pa.array(["transformers"] * n, pa.string()),
             "n_rows": pa.array(n_rows),
             "n_cols": pa.array(n_cols),
-            "spans": make_span_column(span_out),
+            "spans": encode_rows(grid_rows(grids), n),
         })

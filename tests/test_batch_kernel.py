@@ -13,7 +13,7 @@ import pytest
 
 from ocr_table_extractor_to_csv_ray.core.doc import TokenSOA
 from ocr_table_extractor_to_csv_ray.core.geometry import (
-    build_lines, build_lines_batch, dynamic_spans, fast_percentile, merge_spans,
+    build_lines, build_lines_batch, dynamic_spans, fast_percentile, group_by_line, merge_spans,
     overlap_ratio,
 )
 from ocr_table_extractor_to_csv_ray.core.numeric import is_num_span, num_span_flags
@@ -208,7 +208,7 @@ class TestSpans:
         offsets, toks, has_lid = batch(docs)
         lb = build_lines_batch(offsets, toks, has_lid)
         m = lb.members
-        got = dynamic_spans(toks.x1[m], toks.x2[m], toks.text[m], lb.starts)
+        got = group_by_line(*dynamic_spans(toks.x1[m], toks.x2[m], toks.text[m], lb.starts))
         ids = [m[a:b].tolist() for a, b in zip(lb.starts[:-1], lb.starts[1:])]
         x1, x2, text = toks.x1.tolist(), toks.x2.tolist(), toks.text.tolist()
         want = oracle_spans(x1, x2, text, ids)
@@ -230,15 +230,19 @@ class TestSpans:
     @pytest.mark.parametrize("q", [0.0, 12.5, 50.0, 90.0, 95.0, 100.0])
     def test_fast_percentile_is_numpy_percentile(self, q):
         rng = np.random.default_rng(int(q))
-        for n in range(1, 40):
-            a = rng.integers(1, 500, size=n).astype(float)
-            assert fast_percentile(a, q) == np.percentile(a, q)
+        segments = [rng.integers(1, 500, size=n).astype(float) for n in range(0, 40)]
+        starts = np.concatenate(([0], np.cumsum([len(a) for a in segments])))
+        got = fast_percentile(np.concatenate(segments), starts, q)
+        assert got[0] == 0.0
+        for a, p in zip(segments[1:], got[1:].tolist()):
+            assert p == np.percentile(a, q)
 
     def test_empty_lines_and_batch(self):
         x = np.zeros(0, dtype=np.int64)
         span_starts, sx1, sx2, stext = merge_spans(x, x, np.zeros(0, object), np.array([0]), x)
         assert span_starts.tolist() == [0] and stext == []
-        assert dynamic_spans(x, x, np.zeros(0, object), np.array([0])) == []
+        span_starts, *cols = dynamic_spans(x, x, np.zeros(0, object), np.array([0]))
+        assert span_starts.tolist() == [0] and all(len(c) == 0 for c in cols)
 
 
 # ---------------------------------------------------------------------------

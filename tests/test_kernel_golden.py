@@ -15,6 +15,10 @@ any layout kernel that alters one cell of one document fails it.
 Regenerate (only for an intended output change) with
 ``python tests/test_kernel_golden.py``; it rewrites only the ``inputs``
 section (:func:`write_section`).
+
+The ``locate`` section pins two hand-built documents whose output turns
+on an interval-location tie that the corpus never hits (:func:`_locate_input`);
+``python tests/test_kernel_golden.py locate`` rewrites only it.
 """
 
 from __future__ import annotations
@@ -44,6 +48,55 @@ def _inputs():
     }
 
 
+def _word(text, x1, y1, x2, y2):
+    from ocr_table_extractor_to_csv_ray.core.spans import encode_bbox_ref
+    return {"kind": "word", "text": text, "media_ref": encode_bbox_ref(1, x1, y1, x2, y2),
+            "offset": 0}
+
+
+def _numbers(y, *centres):
+    return [_word(str(100 + 7 * k + y), c - 10, y, c + 10, y + 8) for k, c in enumerate(centres)]
+
+
+def _locate_input():
+    """Two documents where ``locate``'s tie rules decide a cell.
+
+    ``dynamic-overlap`` (layout ``dynamic``): per-rank medians 300, 500,
+    500 give the padded, overlapping columns (276, 424), (376, 524) and
+    (476, 524). The numeric span at x 800 and the year span "FY 2019"
+    (x ~900) lie right of all three, equally near the right edges of the
+    last two: nearest boundary gives the first of them, nearest centre
+    the last. Sixty 1-px label tokens keep each line's adaptive gap at
+    its floor of 12, so the numbers stay separate spans.
+
+    ``gridpro-cut`` (layout ``professional``): two column blocks with an
+    empty valley between x 200 and 300 cut the contiguous intervals at
+    249; a zero-width token at x 249 is centred exactly on that cut and
+    goes to the right column under ``closed="left"``.
+    """
+    from ocr_table_extractor_to_csv_ray.sources.synthetic import SPAN_TYPE
+
+    def label(y):
+        return [_word("a", 2 * i, y, 2 * i + 1, y + 8) for i in range(60)]
+
+    dyn = label(100) + [_word("FY", 870, 100, 890, 108), _word("2019", 895, 100, 935, 108)]
+    for y in range(110, 190, 10):
+        dyn += label(y) + _numbers(y, 500)
+    dyn += label(190) + _numbers(190, 500, 800)
+    for y in range(300, 500, 40):
+        dyn += label(y) + _numbers(y, 300, 500, 700)
+
+    pro = []
+    for k, y in enumerate(range(100, 160, 20)):
+        pro += [_word(f"left{k}", 100, y, 200, y + 8), _word(f"right{k}", 300, y, 400, y + 8)]
+    pro.append(_word("cut", 249, 140, 249, 148))
+    for i, s in enumerate(dyn + pro):
+        s["offset"] = i
+    return pa.table({"doc_id": ["dynamic-overlap", "gridpro-cut"],
+                     "spans": pa.array([dyn, pro], pa.list_(SPAN_TYPE)),
+                     "layout": ["dynamic", "professional"]})
+
+
 def _span_tuples(spans):
     return [(s["kind"], s["text"], s["media_ref"], s["offset"]) for s in spans or []]
 
@@ -63,6 +116,12 @@ def doc_digests(out: pa.Table) -> dict:
 def compute() -> dict:
     from ocr_table_extractor_to_csv_ray.stages.extract import extract_batch
     return {name: doc_digests(extract_batch(tbl, cfg)) for name, (tbl, cfg) in _inputs().items()}
+
+
+def compute_locate() -> dict:
+    from ocr_table_extractor_to_csv_ray.config import LayoutConfig
+    from ocr_table_extractor_to_csv_ray.stages.extract import extract_batch
+    return doc_digests(extract_batch(_locate_input(), LayoutConfig(layout="dynamic")))
 
 
 def write_section(path: str, key: str, value: dict, what: str) -> None:
@@ -93,7 +152,19 @@ def test_kernel_golden():
             f"{name}: {len(diff)} docs differ from the snapshot, first {diff[:5]}")
 
 
+def test_locate_golden():
+    with open(GOLDEN) as fh:
+        want = json.load(fh)["locate"]
+    got = compute_locate()
+    assert got == {d: want[d] for d in got} and len(want) == len(got) + 1, (
+        "a locate tie in the dynamic column assignment, its year headers or "
+        "gridpro's token → column step changed")
+
+
 if __name__ == "__main__":
     import sys
     sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
-    write_section(GOLDEN, "inputs", compute(), "extract_batch output")
+    if sys.argv[1:] == ["locate"]:
+        write_section(GOLDEN, "locate", compute_locate(), "extract_batch output")
+    else:
+        write_section(GOLDEN, "inputs", compute(), "extract_batch output")

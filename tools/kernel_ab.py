@@ -1,11 +1,15 @@
 """Interleaved single-process A/B of ``extract_batch`` between two checkouts.
 
     python tools/kernel_ab.py OLD_CHECKOUT NEW_CHECKOUT [--seed 42] [--docs 3000] [-k 5]
+        [--layout dynamic|generic|financial|professional|mixed]
 
 Both sides time one corpus, ``corpus_table(docs, seed)``, in batches of
 ``--batch`` docs; each side is a child process importing the engine from its
-checkout, and the sides take turns for ``k`` rounds. Prints each side's
-min-of-k and median ms/doc and the sha1 of its output (Arrow IPC bytes).
+checkout, and the sides take turns for ``k`` rounds. ``--layout mixed`` adds
+a per-row ``layout`` column cycling generic/financial/professional/dynamic,
+as the ``mixed_layouts_tail`` benchmark does, so one run times that kernel
+mix. Prints each side's min-of-k and median ms/doc and the sha1 of its
+output (Arrow IPC bytes).
 """
 
 from __future__ import annotations
@@ -39,6 +43,9 @@ for _ in sys.stdin:
 """
 
 
+MIXED = ("generic", "financial", "professional", "dynamic")
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("old")
@@ -48,13 +55,19 @@ def main() -> None:
     ap.add_argument("--layout", default="dynamic")
     a = ap.parse_args()
     sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+    import pyarrow as pa
     import pyarrow.parquet as pq
     from ocr_table_extractor_to_csv_ray.sources.synthetic import corpus_table
+    corpus, layout = corpus_table(a.docs, a.seed), a.layout
+    if layout == "mixed":
+        corpus = corpus.append_column("layout", pa.array(
+            [MIXED[i % len(MIXED)] for i in range(corpus.num_rows)], pa.string()))
+        layout = "dynamic"
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "corpus.parquet")
-        pq.write_table(corpus_table(a.docs, a.seed), path)
+        pq.write_table(corpus, path)
         sides = {name: subprocess.Popen(
-            [sys.executable, "-c", WORKER, os.path.abspath(d), path, str(a.batch), a.layout],
+            [sys.executable, "-c", WORKER, os.path.abspath(d), path, str(a.batch), layout],
             stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
             for name, d in (("old", a.old), ("new", a.new))}
         runs = {name: [] for name in sides}
