@@ -757,6 +757,16 @@ def _dedup_embedding(sf_dir: str):
     return surv.select_columns(["vec_id"])
 
 
+# How often a query runs its Parquet read, with the reason for each
+# pass (tests/test_read_budget.py counts them).
+READ_BUDGETS = {
+    "dedup_minhash": 2,     # signature pass, survivors pass
+    "dedup_simhash": 2,     # fingerprint pass, survivors pass
+    "dedup_embedding": 2,   # unit-vector pass, survivors pass
+    "dedup_ngram": 3,       # signature pass, candidate-text pass, survivors pass
+}
+
+
 # ---------------------------------------------------------------------------
 # similarity search
 

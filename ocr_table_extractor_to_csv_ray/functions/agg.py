@@ -43,9 +43,10 @@ with Ray's native aggregate: the partials are few enough that the
 per-row combine costs less than the bucket shuffle's extra operator.
 
 Users: :func:`grouped_agg`, ``join.hash_join`` / ``join.hash_semi_join``,
-``compact.latest_wins``, ``dedup.duplicate_line_removal`` and the
-catalog's hand-rolled bucket queries. ``pipelines/extract.add_part_id_batch``
-keeps its own hash: it defines on-disk ``part_id`` values.
+``compact.latest_wins``, ``dedup.near_dup`` (its verify step),
+``dedup.duplicate_line_removal`` and the catalog's hand-rolled bucket
+queries. ``pipelines/extract.add_part_id_batch`` keeps its own hash: it
+defines on-disk ``part_id`` values.
 
 What the engine cannot control: Ray's sort shuffle emits schema-less
 empty blocks for empty partitions and bypasses the UDF for them

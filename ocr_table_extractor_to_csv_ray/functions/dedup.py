@@ -1,66 +1,45 @@
 """Corpus deduplication: exact, MinHash+LSH, SimHash, n-gram Jaccard,
-embedding-cosine near-dup.
+embedding-cosine near-dup, duplicate lines.
 
-Shuffle discipline (the point at 100 TB):
-
-- **exact**: content hash added in a vectorized ``map_batches`` (cheap,
-  streaming), then ONE ``groupby(hash)`` keeping the min ``doc_id`` per
-  group — the only all-to-all, and it moves (hash, doc_id) pairs, not
-  document text (generalizes the reference's path-pair dedup set,
+- **exact**: a vectorized content hash, then ONE ``grouped_agg``
+  keeping the min ``doc_id`` per hash — it moves (hash, doc_id) pairs,
+  not text (generalizes the reference's path-pair dedup set,
   ``dataset_cli.py:189-195``).
-- **MinHash-LSH**: signatures per batch (no shuffle), text DROPPED
-  before the signature set materializes (~1 KB/doc, never the corpus) →
-  explode to ``(band, band_key, doc_id)`` rows → ONE ``groupby`` counts
-  bucket sizes → the (small) duplicate-key set broadcasts back as a
-  vectorized ``pc.is_in`` filter → only duplicate-bucket rows (carrying
-  their signatures) shuffle into per-bucket ``map_groups`` tasks that
-  pair AND verify locally → the verified-pair Dataset is tiny.
-- **SimHash**: 64-bit fingerprints per batch → band buckets (4×16 bit)
-  → same candidate path, Hamming verify inside the bucket task.
-- **embedding near-dup**: random-hyperplane LSH buckets per batch →
-  within-bucket pairwise cosine ≥ τ inside the bucket task (vectors
-  never visit the driver).
+- **near-dup**: the four methods are thin callers of ONE pipeline,
+  :func:`near_dup`, and differ only in their band keys, payload and
+  vectorized pair score. ``grouped_agg`` counts LSH bucket sizes; the
+  key rows of buckets with ≥ 2 members cut the payload to the candidate
+  ids; ``join.hash_join`` attaches it; ONE ``agg.bucket_shuffle`` over
+  hash buckets of the band key scores the candidate pairs of all the
+  LSH buckets in a hash bucket at once; the connected components of
+  the verified pairs are the clusters. Payloads never visit the driver.
 - **duplicate lines**: line instances, then documents, group on
-  ``agg.key_buckets`` hash buckets through ``agg.bucket_shuffle`` — one
-  task per bucket, not one Python frame per line or document.
+  ``agg.key_buckets`` hash buckets through ``agg.bucket_shuffle``.
 
-A duplicate-key set too large to broadcast is applied with the Arrow
-``join.hash_semi_join``; signature and vector list columns cross that
-shuffle as they are.
+Every key-set filter is :func:`collect_or_semi_join`: a collected,
+broadcast ``pc.is_in`` up to a size threshold, the Arrow
+``join.hash_semi_join`` above it.
 
-Oversized buckets (≥ ``star_cap`` members — e.g. 10k copies of one
-page) are paired as a STAR to the bucket's min id instead of all-pairs:
-n−1 candidate edges, not n², and the star keeps cluster diameter ≤ 2 so
-label propagation converges in a couple of rounds. Members of one LSH
-bucket at sane thresholds are near-identical, so star verification
-finds the same clusters as the quadratic sweep.
-
-Clustering: the verified pairs are an edge Dataset, and clusters are
-its connected components —
-:func:`~ocr_table_extractor_to_csv_ray.functions.graph.connected_components`,
-which takes the string (or integer) ``doc_id``\ s as they are. The
-input size picks where they are computed, with
-``LABEL_COLLECT_THRESHOLD`` as the one bound: a pair set whose doubled
-adjacency has at most that many rows is collected once and solved on
-the driver; up to that many distinct ids, the label vector lives on the
-driver and each round is one streaming pass; above it, rounds are
-distributed joins, the ``{doc_id: cluster_id}`` map stays a Dataset and
-the non-canonical ids are removed with an anti-join — a large pair set
-is never collected. A cluster graph that does not converge in the
-64-round budget raises ``RuntimeError`` rather than leaving several
-labels in one cluster.
+LSH buckets of more than ``STAR_CAP`` members (e.g. 10k copies of one
+page) are paired as a STAR to the bucket's min id: n−1 candidate edges,
+not n², and cluster diameter ≤ 2, so label propagation converges in a
+couple of rounds. Members of one LSH bucket at sane thresholds are
+near-identical, so the star finds the same clusters as all-pairs.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from . import join
+from ..stages import pool_size
 from .agg import bucket_shuffle, grouped_agg, with_buckets
 from .textstats import shingle_hashes
 
@@ -86,8 +65,6 @@ def exact_dedup(ds, id_column: str = "doc_id", column: str = "text"):
     Returns a Dataset of ``(content_hash, doc_id)`` — survivors.
     sha1 collisions are treated as equality (2^-80 at any real scale).
     """
-    import functools
-
     hashed = ds.select_columns([id_column, column]).map_batches(
         functools.partial(content_hash_batch, column=column),
         batch_format="pyarrow",
@@ -99,7 +76,169 @@ def exact_dedup(ds, id_column: str = "doc_id", column: str = "text"):
 
 
 # ---------------------------------------------------------------------------
-# MinHash signatures
+# the one near-duplicate pipeline: band keys → duplicate buckets →
+# verified pairs → clusters
+
+STAR_CAP = 64            # LSH buckets above this many members pair as a star
+# collect_or_semi_join thresholds: duplicate keys and candidate ids;
+# dropped ids and the {id: cluster} dict
+DUP_KEYS_COLLECT_THRESHOLD = 5_000_000
+LABEL_COLLECT_THRESHOLD = 1_000_000
+NEAR_DUP_BUCKETS = 32    # hash buckets of the size count and the verify
+
+
+def _matrix(col, dtype) -> np.ndarray:
+    """A fixed-width list column (chunked or not) as ``(n, width)``."""
+    flat = np.asarray(pc.list_flatten(col).to_numpy(zero_copy_only=False),
+                      dtype=dtype)
+    return flat.reshape(len(col), -1) if len(col) else flat.reshape(0, 0)
+
+
+def _key_rows(ids, keys: np.ndarray, id_column: str) -> pa.Table:
+    """``ids`` and their ``(n, n_bands)`` uint64 band keys → ``(bkey,
+    id)`` rows, one per id and band."""
+    n, n_bands = keys.shape
+    return pa.table({
+        "bkey": pa.array(keys.reshape(-1).view(np.int64)),
+        id_column: ids.take(pa.array(np.repeat(np.arange(n), n_bands))),
+    })
+
+
+def collect_or_semi_join(ds, keys, key: str, threshold: int,
+                         anti: bool = False):
+    """Rows of ``ds`` whose ``key`` is (``anti``: is not) among the
+    ``key`` values of the Dataset ``keys``.
+
+    ``keys`` is materialized once. Up to ``threshold`` key rows, its
+    distinct keys are collected and broadcast to a vectorized
+    ``pc.is_in`` filter; above it the filter is the partitioned
+    ``join.hash_semi_join``, so nothing key-proportional visits the
+    driver. An empty anti-join returns ``ds`` itself."""
+    import ray
+
+    keys = keys.materialize()
+    n = keys.count()
+    if n > threshold:
+        return join.hash_semi_join(ds, keys, key=key, anti=anti)
+    if n == 0:
+        return ds if anti else ds.limit(0)
+    ref = ray.put(pa.array(np.unique(keys.to_pandas()[key].to_numpy())))
+
+    def _filter(t: pa.Table) -> pa.Table:
+        hit = pc.is_in(t[key], value_set=ray.get(ref))
+        return t.filter(pc.invert(hit) if anti else hit)
+
+    return ds.map_batches(_filter, batch_format="pyarrow")
+
+
+def _compact(ds):
+    """``ds`` materialized in the fewest blocks of Ray's target block
+    size: a sort shuffle's tasks grow with the square of its input
+    blocks, and at candidate-set sizes they, not the rows, set its
+    cost."""
+    from ray.data import DataContext
+
+    ds = ds.materialize()
+    per_block = DataContext.get_current().target_max_block_size
+    n = max(1, -(-ds.size_bytes() // per_block))
+    return ds.repartition(n).materialize() if ds.num_blocks() > n else ds
+
+
+def _pair_index(bkey: np.ndarray, cap: int = STAR_CAP
+                ) -> Tuple[np.ndarray, np.ndarray]:
+    """Candidate row pairs ``(iu, ju)`` of the LSH buckets in ``bkey``
+    (sorted, each bucket one run with its ids ascending): all-pairs in a
+    bucket of ≤ ``cap`` members, a star to its first (min-id) row above.
+    One step per distinct bucket size."""
+    starts = np.flatnonzero(np.r_[True, bkey[1:] != bkey[:-1]])
+    sizes = np.diff(np.r_[starts, len(bkey)])
+    iu, ju = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+    for m in np.unique(sizes[sizes > 1]):
+        s = starts[sizes == m][:, None]
+        if m <= cap:
+            a, b = np.triu_indices(m, k=1)
+        else:
+            a, b = np.zeros(m - 1, np.int64), np.arange(1, m)
+        iu.append((s + a).ravel())
+        ju.append((s + b).ravel())
+    return np.concatenate(iu), np.concatenate(ju)
+
+
+def _verify_bucket(t: pa.Table, score: Callable, threshold: float,
+                   id_column: str) -> pa.Table:
+    """One hash bucket of ``(bkey, id, payload…)`` rows → the verified
+    ``(left, right)`` pairs of every LSH bucket in it."""
+    t = t.sort_by([("bkey", "ascending"), (id_column, "ascending")])
+    iu, ju = _pair_index(t["bkey"].to_numpy())
+    keep = score(t, iu, ju, threshold)
+    ids = t[id_column]
+    return pa.table({"left": ids.take(pa.array(iu[keep])),
+                     "right": ids.take(pa.array(ju[keep]))})
+
+
+def near_dup(ds, keys, payload, score: Callable, threshold: float,
+             id_column: str):
+    """The near-duplicate pipeline; returns ``(survivors, cluster)``.
+
+    ``keys``: band rows ``(bkey, id)``, ``bkey`` one int64 that already
+    names its band or table (MinHash: the band hash seeded with the band
+    index; SimHash ``(band << 16) | bits``; hyperplane ``(table <<
+    n_planes) | bits``). ``payload``: ``(id, …)`` rows that ``score(bucket,
+    iu, ju, threshold)`` reads to keep or reject the candidate pairs
+    ``(iu[i], ju[i])`` of a bucket table. ``survivors`` = ``ds`` minus
+    the non-canonical members of each cluster (canonical = min id);
+    ``cluster`` as :func:`_cluster_and_filter` returns it. With no
+    duplicate bucket ``ds`` comes back as it is."""
+    dup_keys = (grouped_agg(keys.select_columns(["bkey"]), "bkey", {},
+                            num_buckets=NEAR_DUP_BUCKETS, count="n")
+                .filter(expr="n > 1").select_columns(["bkey"]).materialize())
+    if dup_keys.count() == 0:
+        return ds, {}
+    rows = collect_or_semi_join(keys, dup_keys, "bkey",
+                                DUP_KEYS_COLLECT_THRESHOLD).materialize()
+    cand = _compact(collect_or_semi_join(payload, rows, id_column,
+                                         DUP_KEYS_COLLECT_THRESHOLD))
+    pairs = bucket_shuffle(
+        join.hash_join(rows, cand, key=id_column).map_batches(
+            with_buckets, fn_args=(["bkey"], NEAR_DUP_BUCKETS),
+            batch_format="pyarrow"),
+        functools.partial(_verify_bucket, score=score, threshold=threshold,
+                          id_column=id_column))
+    return _cluster_and_filter(ds, pairs, id_column)
+
+
+def _cluster_and_filter(ds, verified_pairs_ds, id_column: str):
+    """Verified-pair Dataset → (survivors_ds, cluster): the connected
+    components of the pairs (cluster id = min member id), with
+    ``LABEL_COLLECT_THRESHOLD`` (read at call time) as their tier bound,
+    as the ``{id: cluster_id}`` dict up to that many component rows and
+    as the component Dataset ``(node, component)`` above. The
+    non-canonical ids leave ``ds`` by :func:`collect_or_semi_join` under
+    the same bound. A graph that does not converge in 64 rounds raises
+    ``RuntimeError``."""
+    from .graph import connected_components
+
+    threshold = LABEL_COLLECT_THRESHOLD
+    comp = connected_components(verified_pairs_ds, src="left", dst="right",
+                                local_threshold=threshold,
+                                broadcast_threshold=threshold)
+
+    def _noncanon(t: pa.Table) -> pa.Table:
+        m = pc.not_equal(t["node"], t["component"])
+        return pa.table({id_column: t["node"].filter(m)})
+
+    survivors = collect_or_semi_join(
+        ds, comp.map_batches(_noncanon, batch_format="pyarrow"), id_column,
+        threshold, anti=True)
+    if comp.count() > threshold:
+        return survivors, comp
+    pdf = comp.to_pandas()     # an empty result has no columns at all
+    return survivors, (dict(zip(pdf["node"], pdf["component"]))
+                       if len(pdf) else {})
+
+
+# ---------------------------------------------------------------------------
+# MinHash signatures and bands
 
 _MERSENNE = (1 << 61) - 1
 
@@ -160,11 +299,10 @@ class MinHashStage:
         return out.append_column("n_shingles", pa.array(n_sh))
 
 
-# ---------------------------------------------------------------------------
-# LSH banding → duplicate buckets → per-bucket verified pairs → clusters
-
 def band_keys(sigs: np.ndarray, n_bands: int) -> np.ndarray:
-    """(n_docs, n_bands) uint64 band keys: mix each band's rows."""
+    """(n_docs, n_bands) uint64 band keys: each band's rows mixed into a
+    hash seeded with the band index, so equal rows in two bands never
+    share a key."""
     n_docs, n_perm = sigs.shape
     r = n_perm // n_bands
     mix = np.uint64(0x9E3779B97F4A7C15)
@@ -173,408 +311,100 @@ def band_keys(sigs: np.ndarray, n_bands: int) -> np.ndarray:
         # band b covers sigs[:, b*r:(b+1)*r]
         for b in range(n_bands):
             block = sigs[:, b * r : (b + 1) * r]
-            k = np.zeros(n_docs, np.uint64)
+            k = np.full(n_docs, b, np.uint64)
             for j in range(r):
                 k = k * mix + block[:, j]
             keys[:, b] = k
     return keys
 
 
-def explode_bands_batch(batch: pa.Table, n_bands: int = 16,
-                        carry_cols: Sequence[str] = ()) -> pa.Table:
-    """``(doc_id, minhash)`` rows → ``(band, band_key, doc_id)`` rows.
-
-    Shingle-less documents (empty/one-token text) are NOT banded: they
+def explode_bands_batch(batch: pa.Table, n_bands: int = 16) -> pa.Table:
+    """``(doc_id, minhash, n_shingles)`` → one ``(bkey, doc_id)`` row
+    per band. Shingle-less documents (empty/one-token text) are NOT banded: they
     all share the sentinel signature and would form one giant O(n²)
     candidate clique at corpus scale. Exact dedup owns the empty-text
     case.
-
-    ``carry_cols`` replicates extra columns (e.g. the signature itself)
-    onto the exploded rows — used only on the SECOND, already-filtered
-    pass so the n_bands× blow-up never applies to the whole corpus.
     """
-    if "n_shingles" in batch.column_names:
-        batch = batch.filter(pc.greater(batch["n_shingles"], pa.scalar(0)))
-    mh = batch["minhash"].combine_chunks() if isinstance(batch["minhash"], pa.ChunkedArray) else batch["minhash"]
-    n_docs = len(mh)
-    if n_docs == 0:
-        cols = {
-            "band": pa.array([], pa.int32()),
-            "band_key": pa.array([], pa.int64()),
-            "doc_id": pa.array([], batch["doc_id"].type),
-        }
-        for c in carry_cols:
-            cols[c] = batch[c]
-        return pa.table(cols)
-    n_perm = mh.type.list_size
-    sigs = np.asarray(mh.values.to_numpy(zero_copy_only=False)).astype(np.uint64).reshape(n_docs, n_perm)
-    keys = band_keys(sigs, n_bands)
-    doc_ids = batch["doc_id"].combine_chunks() if isinstance(batch["doc_id"], pa.ChunkedArray) else batch["doc_id"]
-    band = np.tile(np.arange(n_bands, dtype=np.int32), n_docs)
-    idx = pa.array(np.repeat(np.arange(n_docs, dtype=np.int64), n_bands))
-    cols = {
-        "band": pa.array(band),
-        "band_key": pa.array(keys.reshape(-1).astype(np.int64)),
-        "doc_id": doc_ids.take(idx),
-    }
-    for c in carry_cols:
-        col = batch[c].combine_chunks() if isinstance(batch[c], pa.ChunkedArray) else batch[c]
-        cols[c] = col.take(idx)
-    return pa.table(cols)
-
-
-_GOLD = np.uint64(0x9E3779B97F4A7C15)
-
-# buckets with ≥ star_cap members switch from all-pairs to star pairing
-STAR_CAP = 64
-
-
-def _fused_batch(t: pa.Table, key_cols: Sequence[str]) -> pa.Table:
-    """Append ``__bkey``: one int64 fusing the bucket key columns.
-
-    A fuse collision (~2^-64 per bucket pair) merges two buckets. Below
-    ``STAR_CAP`` that only adds candidate pairs that verification then
-    rejects. Residual risk: if the MERGED bucket crosses ``STAR_CAP``,
-    pairing switches to a star against the merged bucket's (possibly
-    foreign) min id, so true pairs inside the smaller original bucket
-    could be missed — accepted at ~2^-64; use all-pairs among each
-    original (band, band_key) subgroup inside the verify task if that
-    ever matters."""
-    k = np.zeros(t.num_rows, np.uint64)
-    with np.errstate(over="ignore"):
-        for c in key_cols:
-            col = np.asarray(t[c].to_numpy(zero_copy_only=False)).astype(np.uint64)
-            k = k * _GOLD + col
-    out = t
-    if "__bkey" in out.column_names:
-        out = out.drop_columns(["__bkey"])
-    return out.append_column("__bkey", pa.array(k.view(np.int64)))
-
-
-DUP_KEYS_COLLECT_THRESHOLD = 5_000_000
-
-
-def _dup_keys_ref(banded, key_cols: Sequence[str],
-                  collect_threshold: Optional[int] = None):
-    """Fused keys of buckets with ≥ 2 members → ``("ref", object_ref)``
-    with a broadcast int64 ``pa.array`` when the set is small enough to
-    ship once, else ``("ds", dataset)`` kept DISTRIBUTED (the duplicate
-    volume at adversarial scale can exceed driver memory — VERDICT r3
-    watch item #4); None if no duplicate bucket.
-
-    One Arrow-native ``groupby.count()`` over ONLY the key columns —
-    the corpus-scale stream never shuffles payload here. The key
-    Dataset is materialized (int64 keys only, object-store-resident,
-    spills) because it is consumed once per decision + once per filter."""
-    import functools
-    import ray
-
-    if collect_threshold is None:
-        collect_threshold = DUP_KEYS_COLLECT_THRESHOLD
-
-    fused = banded.select_columns(list(key_cols)).map_batches(
-        functools.partial(_fused_batch, key_cols=key_cols),
-        batch_format="pyarrow",
-    )
-    counts = fused.groupby("__bkey").count()
-    sch = counts.schema(fetch_if_missing=True)
-    if sch is None or "__bkey" not in sch.names:
-        return None
-    cnt_col = [c for c in sch.names if c != "__bkey"][0]
-    dup_ds = counts.map_batches(
-        lambda t: t.filter(pc.greater_equal(t[cnt_col], pa.scalar(2))),
-        batch_format="pyarrow",
-    ).select_columns(["__bkey"]).materialize()
-    n = dup_ds.count()
-    if n == 0:
-        return None
-    if n > collect_threshold:
-        return ("ds", dup_ds)
-    dup = dup_ds.to_pandas()
-    return ("ref", ray.put(pa.array(dup["__bkey"].to_numpy(), pa.int64())))
-
-
-def _filter_dup_rows(banded, key_cols: Sequence[str], keys):
-    """Keep rows whose fused bucket key is in the duplicate-key set:
-    vectorized broadcast ``pc.is_in`` for a collected key set
-    (``("ref", …)``), partitioned ``hash_semi_join`` for a distributed
-    one (``("ds", …)`` — nothing key-proportional visits the driver).
-    The semi-join shuffles Arrow, so signature and vector list columns
-    cross it as they are."""
-    import functools
-    import ray
-
-    kind, val = keys
-    if kind == "ds":
-        from .join import hash_semi_join
-
-        return hash_semi_join(
-            banded.map_batches(functools.partial(_fused_batch,
-                                                 key_cols=key_cols),
-                               batch_format="pyarrow"),
-            val, key="__bkey")
-
-    def _f(t: pa.Table) -> pa.Table:
-        t = _fused_batch(t, key_cols)
-        ks = ray.get(val)
-        return t.filter(pc.is_in(t["__bkey"], value_set=ks))
-
-    return banded.map_batches(_f, batch_format="pyarrow")
-
-
-def _bucket_pair_idx(m: int, cap: int = STAR_CAP) -> Tuple[np.ndarray, np.ndarray]:
-    """Candidate index pairs for an m-member bucket (ids sorted asc):
-    all-pairs below ``cap``, star-to-min-id above (n−1 edges, diameter
-    ≤ 2 — label propagation converges in ~2 rounds even for a 10k-copy
-    cluster)."""
-    if m < 2:
-        return np.empty(0, np.int64), np.empty(0, np.int64)
-    if m <= cap:
-        iu, ju = np.triu_indices(m, k=1)
-        return iu.astype(np.int64), ju.astype(np.int64)
-    return np.zeros(m - 1, np.int64), np.arange(1, m, dtype=np.int64)
-
-
-def _empty_pairs(like: np.ndarray) -> pd.DataFrame:
-    return pd.DataFrame({"left": like[:0], "right": like[:0]})
-
-
-def _drop_filter(ds, drop: set, id_column: str):
-    """Vectorized broadcast anti-filter: drop rows whose id is in the
-    (small) non-canonical-duplicate set."""
-    import ray
-
-    arr = pa.array(sorted(drop))
-    ref = ray.put(arr)
-
-    def _f(t: pa.Table) -> pa.Table:
-        ids = ray.get(ref)
-        return t.filter(pc.invert(pc.is_in(t[id_column], value_set=ids)))
-
-    return ds.map_batches(_f, batch_format="pyarrow")
-
-
-LABEL_COLLECT_THRESHOLD = 1_000_000
-
-
-def _cluster_and_filter(ds, verified_pairs_ds, id_column: str):
-    """Verified-pair Dataset → (survivors_ds, cluster).
-
-    Clusters are the connected components of the verified pairs
-    (:func:`~ocr_table_extractor_to_csv_ray.functions.graph.connected_components`,
-    cluster id = min member id), with ``LABEL_COLLECT_THRESHOLD`` — read
-    at call time — as both its local and its broadcast tier threshold.
-    ``cluster`` is a ``{doc_id: cluster_id}`` dict when the component
-    table has at most that many rows; otherwise it is the component
-    **Dataset** ``(node, component)``, and the non-canonical ids
-    (node ≠ component) are applied to the corpus with a partitioned
-    anti-join (``hash_semi_join(anti=True)``), so nothing proportional
-    to duplicate-cluster membership ever visits the driver."""
-    from .graph import connected_components
-
-    threshold = LABEL_COLLECT_THRESHOLD
-    comp = connected_components(verified_pairs_ds, src="left", dst="right",
-                                local_threshold=threshold,
-                                broadcast_threshold=threshold)
-    if comp.count() > threshold:
-        from .join import hash_semi_join
-
-        def _noncanon(t: pa.Table) -> pa.Table:
-            m = pc.not_equal(t["node"], t["component"])
-            return pa.table({id_column: t["node"].filter(m)})
-
-        drop_ds = comp.map_batches(_noncanon, batch_format="pyarrow")
-        return hash_semi_join(ds, drop_ds, key=id_column, anti=True), comp
-    pdf = comp.to_pandas()     # an empty result has no columns at all
-    cluster = dict(zip(pdf["node"], pdf["component"])) if len(pdf) else {}
-    drop = {d for d, c in cluster.items() if d != c}
-    if drop:
-        return _drop_filter(ds, drop, id_column), cluster
-    return ds, cluster
-
-
-# ---------------------------------------------------------------------------
-# MinHash-LSH near-dup
-
-def _minhash_verify_group(g: pd.DataFrame, threshold: float,
-                          cap: int = STAR_CAP) -> pd.DataFrame:
-    """One LSH bucket → verified pairs (signature-estimated Jaccard),
-    entirely inside the bucket task — signatures never visit the driver."""
-    ids = g["doc_id"].to_numpy()
-    order = np.argsort(ids, kind="mergesort")
-    ids = ids[order]
-    sig = np.stack([np.asarray(s, dtype=np.uint64)
-                    for s in g["minhash"].to_numpy()[order]])
-    iu, ju = _bucket_pair_idx(len(ids), cap)
-    if len(iu) == 0:
-        return _empty_pairs(ids)
-    sim = (sig[iu] == sig[ju]).mean(axis=1)
-    keep = sim >= threshold
-    return pd.DataFrame({"left": ids[iu[keep]], "right": ids[ju[keep]]})
-
-
-def _pool_size(requested: int) -> int:
-    """Cap an actor pool below the CPU count: a pool that claims every
-    CPU starves the upstream read / downstream shuffle tasks and the
-    streaming executor stalls (same guard as
-    ``pipelines/transformers.py::_pool_sizes``)."""
-    import ray
-    try:
-        cpus = int(ray.cluster_resources().get("CPU", requested + 2))
-    except Exception:
-        return requested
-    return max(1, min(requested, cpus - 2))
+    batch = batch.filter(pc.greater(batch["n_shingles"], pa.scalar(0)))
+    sigs = _matrix(batch["minhash"], np.int64).view(np.uint64)
+    return _key_rows(batch["doc_id"], band_keys(sigs, n_bands), "doc_id")
 
 
 def minhash_signatures(ds, n_perm: int = 128, k: int = 3, seed: int = 7,
                        concurrency: int = 4):
     """``(doc_id, text)`` → MATERIALIZED ``(doc_id, minhash, n_shingles)``.
 
-    The signature set is consumed multiple times (band counting,
-    dup-row filter, verification) and re-deriving it means re-shingling
-    the corpus each time — so it materializes, but text is dropped
-    FIRST: the object store holds ~1 KB/doc (n_perm × 8 B), never the
-    corpus text. At a scale where even that outgrows the store,
-    checkpoint to parquet instead — same shape.
+    The signature set is consumed several times (band keys, candidate
+    payload) and re-deriving it means re-shingling the corpus each time
+    — so it materializes, but text is dropped FIRST: the object store
+    holds ~1 KB/doc (n_perm × 8 B), never the corpus text. At a scale
+    where even that outgrows the store, checkpoint to parquet instead —
+    same shape.
     """
-    return (ds.select_columns(["doc_id", "text"])
-            .map_batches(MinHashStage, batch_format="pyarrow",
-                         fn_constructor_kwargs={"n_perm": n_perm, "k": k,
-                                                "seed": seed},
-                         concurrency=_pool_size(concurrency))
-            .select_columns(["doc_id", "minhash", "n_shingles"])
-            .materialize())
+    return _compact(ds.select_columns(["doc_id", "text"])
+                    .map_batches(MinHashStage, batch_format="pyarrow",
+                                 fn_constructor_kwargs={"n_perm": n_perm,
+                                                        "k": k, "seed": seed},
+                                 concurrency=pool_size(concurrency))
+                    .select_columns(["doc_id", "minhash", "n_shingles"]))
+
+
+# ---------------------------------------------------------------------------
+# the four near-dup methods: keys, payload and pair score for near_dup
+
+def _agreement(t: pa.Table, iu, ju, threshold: float) -> np.ndarray:
+    """Signature-estimated Jaccard (share of agreeing MinHash slots)."""
+    sig = _matrix(t["minhash"], np.int64)
+    return (sig[iu] == sig[ju]).mean(axis=1) >= threshold
 
 
 def minhash_lsh_dedup(ds, n_perm: int = 128, n_bands: int = 16, k: int = 3,
                       threshold: float = 0.8, seed: int = 7,
                       concurrency: int = 4):
-    """Full near-dup pipeline; returns ``(survivors_ds, cluster_map)``.
-
-    survivors_ds = input rows minus non-canonical near-dup members
-    (canonical = min doc_id of each cluster). cluster_map is the small
-    driver-side {doc_id: cluster_id} dict for the verified duplicates.
-    """
-    import functools
-
+    """MinHash-LSH near-dup on signature agreement; returns
+    ``(survivors_ds, cluster_map)`` (see :func:`near_dup`)."""
     sigs = minhash_signatures(ds, n_perm=n_perm, k=k, seed=seed,
                               concurrency=concurrency)
-    key_cols = ["band", "band_key"]
-    keys_only = sigs.map_batches(
-        functools.partial(explode_bands_batch, n_bands=n_bands),
-        batch_format="pyarrow",
-    )
-    keys_ref = _dup_keys_ref(keys_only, key_cols)
-    if keys_ref is None:
-        return ds, {}
-    # second explode carries the signature — only onto rows that
-    # survive the duplicate-bucket filter (≪ corpus)
-    with_sigs = sigs.map_batches(
-        functools.partial(explode_bands_batch, n_bands=n_bands,
-                          carry_cols=["minhash"]),
-        batch_format="pyarrow",
-    )
-    dup_rows = _filter_dup_rows(with_sigs, key_cols, keys_ref)
-    verified = dup_rows.groupby("__bkey").map_groups(
-        functools.partial(_minhash_verify_group, threshold=threshold),
-        batch_format="pandas",
-    )
-    return _cluster_and_filter(ds, verified, "doc_id")
+    keys = sigs.map_batches(explode_bands_batch, fn_args=(n_bands,),
+                            batch_format="pyarrow")
+    return near_dup(ds, keys, sigs.select_columns(["doc_id", "minhash"]),
+                    _agreement, threshold, "doc_id")
 
 
-# ---------------------------------------------------------------------------
-# n-gram Jaccard dedup (exact verification variant)
-
-def _jaccard_hashes(sa: np.ndarray, sb: np.ndarray) -> float:
-    """Exact Jaccard of two unique shingle-hash arrays."""
-    if len(sa) == 0 and len(sb) == 0:
-        return 1.0
-    inter = len(np.intersect1d(sa, sb, assume_unique=True))
-    union = len(sa) + len(sb) - inter
-    return inter / union if union else 0.0
-
-
-def _ngram_verify_group(g: pd.DataFrame, k: int, threshold: float,
-                        cap: int = STAR_CAP) -> pd.DataFrame:
-    """One LSH bucket (rows carry their TEXT) → exactly-verified pairs.
-
-    Texts are shingled ONCE per bucket member inside this task and the
-    exact n-gram Jaccard is computed per candidate pair — the text never
-    visits the driver (same shape as :func:`_minhash_verify_group`)."""
-    order = np.argsort(g["doc_id"].to_numpy(), kind="mergesort")
-    ids = g["doc_id"].to_numpy()[order]
-    iu, ju = _bucket_pair_idx(len(ids), cap)
-    if len(iu) == 0:
-        return _empty_pairs(ids)
-    texts = g["text"].to_numpy()[order]
+def _shingle_jaccard(t: pa.Table, iu, ju, threshold: float,
+                     k: int) -> np.ndarray:
+    """Exact n-gram Jaccard (two empty shingle sets: 1); each row's text
+    is shingled once."""
     cache: Dict[str, int] = {}
-    sh = [shingle_hashes(t, k, cache) for t in texts]
-    keep = np.fromiter(
-        (_jaccard_hashes(sh[i], sh[j]) >= threshold
-         for i, j in zip(iu, ju)),
-        dtype=bool, count=len(iu))
-    return pd.DataFrame({"left": ids[iu[keep]], "right": ids[ju[keep]]})
+    sh = [shingle_hashes(x, k, cache) for x in t["text"].to_pylist()]
+
+    def jaccard(a: np.ndarray, b: np.ndarray) -> float:
+        inter = len(np.intersect1d(a, b, assume_unique=True))
+        union = len(a) + len(b) - inter
+        return inter / union if union else 1.0
+
+    return np.fromiter((jaccard(sh[i], sh[j]) >= threshold
+                        for i, j in zip(iu, ju)), dtype=bool, count=len(iu))
 
 
 def ngram_jaccard_dedup(ds, k: int = 3, threshold: float = 0.7,
                         n_perm: int = 128, n_bands: int = 32, seed: int = 7):
-    """MinHash-LSH candidate generation + EXACT n-gram Jaccard verify.
+    """MinHash-LSH candidates + EXACT n-gram Jaccard verify; returns
+    ``(survivors, clusters)``.
 
     Wider banding (more bands → lower LSH threshold) so exact
-    verification sees enough candidates; returns (survivors, clusters).
-
-    Verification is fully distributed (round-3 fix of VERDICT r2
-    "What's wrong" #4): candidate texts are joined onto the
-    dup-bucket rows with :func:`hash_join` and exact Jaccard runs
-    inside per-bucket ``map_groups`` tasks — never a text column
-    reaches the driver. Up to ``DUP_KEYS_COLLECT_THRESHOLD`` candidate
-    rows, the candidate doc IDS (8 B each) are collected for a broadcast
-    ``is_in`` text filter; above it, the texts are filtered with a
-    partitioned ``hash_semi_join`` on the candidate-id Dataset, so
-    nothing candidate-proportional visits the driver.
+    verification sees enough candidates. The payload is the candidate
+    documents' text, cut to the candidate ids before it materializes;
+    it is shingled inside the verify buckets and never reaches the
+    driver.
     """
-    import functools
-    import ray
-
-    from .join import hash_join, hash_semi_join
-
     sigs = minhash_signatures(ds, n_perm=n_perm, k=k, seed=seed)
-    key_cols = ["band", "band_key"]
-    keys_only = sigs.map_batches(
-        functools.partial(explode_bands_batch, n_bands=n_bands),
-        batch_format="pyarrow",
-    )
-    keys_ref = _dup_keys_ref(keys_only, key_cols)
-    if keys_ref is None:
-        return ds, {}
-    dup_rows = (_filter_dup_rows(keys_only, key_cols, keys_ref)
-                .select_columns(["__bkey", "doc_id"]).materialize())
-    n_cand = dup_rows.count()
-    if n_cand == 0:
-        return ds, {}
-    cand = dup_rows.select_columns(["doc_id"])
-    texts_ds = ds.select_columns(["doc_id", "text"])
-    if n_cand > DUP_KEYS_COLLECT_THRESHOLD:
-        texts_ds = hash_semi_join(texts_ds, cand, key="doc_id")
-    else:
-        ids_ref = ray.put(pa.array(np.unique(
-            cand.to_pandas()["doc_id"].to_numpy())))
+    keys = sigs.map_batches(explode_bands_batch, fn_args=(n_bands,),
+                            batch_format="pyarrow")
+    return near_dup(ds, keys, ds.select_columns(["doc_id", "text"]),
+                    functools.partial(_shingle_jaccard, k=k), threshold,
+                    "doc_id")
 
-        def _text_filter(t: pa.Table) -> pa.Table:
-            return t.filter(pc.is_in(t["doc_id"],
-                                     value_set=ray.get(ids_ref)))
-
-        texts_ds = texts_ds.map_batches(_text_filter, batch_format="pyarrow")
-    with_text = hash_join(dup_rows, texts_ds, key="doc_id")
-    verified = with_text.groupby("__bkey").map_groups(
-        functools.partial(_ngram_verify_group, k=k, threshold=threshold),
-        batch_format="pandas",
-    )
-    return _cluster_and_filter(ds, verified, "doc_id")
-
-
-# ---------------------------------------------------------------------------
-# SimHash
 
 class SimHashStage:
     """64-bit SimHash per document (token unigrams, count-weighted)."""
@@ -599,78 +429,45 @@ class SimHashStage:
         return out.append_column("simhash", pa.array(fps.astype(np.int64)))
 
 
-def _simhash_verify_group(g: pd.DataFrame, max_hamming: int,
-                          cap: int = STAR_CAP) -> pd.DataFrame:
-    """One band bucket → pairs within Hamming ≤ max_hamming
-    (vectorized XOR + popcount via unpackbits)."""
-    order = np.argsort(g["doc_id"].to_numpy(), kind="mergesort")
-    ids = g["doc_id"].to_numpy()[order]
-    hs = g["simhash"].to_numpy()[order].astype(np.int64).view(np.uint64)
-    iu, ju = _bucket_pair_idx(len(ids), cap)
-    if len(iu) == 0:
-        return _empty_pairs(ids)
-    x = hs[iu] ^ hs[ju]
+def _simhash_bands(t: pa.Table) -> pa.Table:
+    """``(doc_id, simhash)`` → 4 band rows per doc, ``bkey = (band <<
+    16) | bits``."""
+    band = np.arange(4, dtype=np.uint64)
+    sh = t["simhash"].to_numpy().view(np.uint64)[:, None]
+    keys = ((sh >> (band * np.uint64(16))) & np.uint64(0xFFFF)) | (
+        band << np.uint64(16))
+    return _key_rows(t["doc_id"], keys, "doc_id")
+
+
+def _hamming(t: pa.Table, iu, ju, max_hamming: int) -> np.ndarray:
+    """Hamming distance ≤ ``max_hamming`` (XOR + popcount by
+    unpackbits)."""
+    h = t["simhash"].to_numpy().view(np.uint64)
+    x = h[iu] ^ h[ju]
     dist = np.unpackbits(x.view(np.uint8).reshape(len(x), 8), axis=1).sum(axis=1)
-    keep = dist <= max_hamming
-    return pd.DataFrame({"left": ids[iu[keep]], "right": ids[ju[keep]]})
+    return dist <= max_hamming
 
 
 def simhash_dedup(ds, max_hamming: int = 3, concurrency: int = 4):
     """SimHash near-dup: 4×16-bit band buckets (pigeonhole: any pair
     within Hamming ≤ 3 of 64 bits shares at least one of 4 bands) →
-    per-bucket Hamming verify inside ``map_groups`` → clusters."""
-    import functools
-
-    fps = ds.select_columns(["doc_id", "text"]).map_batches(
-        SimHashStage, batch_format="pyarrow", concurrency=_pool_size(concurrency),
-    )
-
-    def _bands(t: pa.Table) -> pa.Table:
-        sh = np.asarray(t["simhash"].to_numpy(zero_copy_only=False)).astype(np.uint64)
-        n = len(sh)
-        doc = t["doc_id"].combine_chunks() if isinstance(t["doc_id"], pa.ChunkedArray) else t["doc_id"]
-        idx = pa.array(np.repeat(np.arange(n, dtype=np.int64), 4))
-        band = np.tile(np.arange(4, dtype=np.int32), n)
-        key = np.empty(n * 4, np.int64)
-        for b in range(4):
-            key[b::4] = ((sh >> np.uint64(16 * b)) & np.uint64(0xFFFF)).astype(np.int64)
-        return pa.table({
-            "band": pa.array(band), "band_key": pa.array(key),
-            "doc_id": doc.take(idx),
-            "simhash": (t["simhash"].combine_chunks() if isinstance(t["simhash"], pa.ChunkedArray) else t["simhash"]).take(idx),
-        })
-
-    banded = fps.select_columns(["doc_id", "simhash"]).map_batches(
-        _bands, batch_format="pyarrow").materialize()
-    key_cols = ["band", "band_key"]
-    keys_ref = _dup_keys_ref(banded, key_cols)
-    if keys_ref is None:
-        return ds, {}
-    dup_rows = _filter_dup_rows(banded, key_cols, keys_ref)
-    verified = dup_rows.groupby("__bkey").map_groups(
-        functools.partial(_simhash_verify_group, max_hamming=max_hamming),
-        batch_format="pandas",
-    )
-    return _cluster_and_filter(ds, verified, "doc_id")
+    Hamming verify → clusters."""
+    fps = _compact(ds.select_columns(["doc_id", "text"])
+                   .map_batches(SimHashStage, batch_format="pyarrow",
+                                concurrency=pool_size(concurrency))
+                   .select_columns(["doc_id", "simhash"]))
+    keys = fps.map_batches(_simhash_bands, batch_format="pyarrow")
+    return near_dup(ds, keys, fps, _hamming, max_hamming, "doc_id")
 
 
-# ---------------------------------------------------------------------------
-# embedding-cosine near-dup
-
-def _embedding_verify_group(g: pd.DataFrame, threshold: float,
-                            id_column: str, cap: int = STAR_CAP) -> pd.DataFrame:
-    """One hyperplane bucket → pairs with cosine ≥ threshold; the unit
-    vectors stay inside the bucket task (never on the driver)."""
-    order = np.argsort(g[id_column].to_numpy(), kind="mergesort")
-    ids = g[id_column].to_numpy()[order]
-    mat = np.stack([np.asarray(u, dtype=np.float32)
-                    for u in g["unit"].to_numpy()[order]])
-    iu, ju = _bucket_pair_idx(len(ids), cap)
-    if len(iu) == 0:
-        return _empty_pairs(ids)
-    sims = np.einsum("ij,ij->i", mat[iu], mat[ju])
-    keep = sims >= threshold
-    return pd.DataFrame({"left": ids[iu[keep]], "right": ids[ju[keep]]})
+def _unit_batch(t: pa.Table, id_column: str, vec_column: str) -> pa.Table:
+    """``(id, vector)`` → ``(id, unit)``: L2-normalized float32 rows."""
+    mat = _matrix(t[vec_column], np.float32)
+    unit = mat / np.maximum(np.linalg.norm(mat, axis=1, keepdims=True), 1e-12)
+    offsets = pa.array(np.arange(len(unit) + 1) * unit.shape[1], pa.int32())
+    return pa.table({id_column: t[id_column],
+                     "unit": pa.ListArray.from_arrays(
+                         offsets, pa.array(unit.reshape(-1), pa.float32()))})
 
 
 def _table_planes(dim: int, n_planes: int, seed: int,
@@ -685,64 +482,46 @@ def _table_planes(dim: int, n_planes: int, seed: int,
     return out
 
 
+def _hyperplane_bands(t: pa.Table, id_column: str, n_planes: int, seed: int,
+                      n_tables: int) -> pa.Table:
+    """``(id, unit)`` → one row per table, ``bkey = (table << n_planes)
+    | sign bits``; the planes follow the batch's own vector width."""
+    unit = _matrix(t["unit"], np.float32)
+    planes = _table_planes(unit.shape[1], n_planes, seed, n_tables)
+    shifts = np.arange(n_planes, dtype=np.uint64)
+    keys = np.stack([(((unit @ planes[ti]) > 0).astype(np.uint64) << shifts)
+                     .sum(axis=1, dtype=np.uint64)
+                     | np.uint64(ti << n_planes)
+                     for ti in range(n_tables)], axis=1)
+    return _key_rows(t[id_column], keys, id_column)
+
+
+def _cosine(t: pa.Table, iu, ju, threshold: float) -> np.ndarray:
+    """Cosine of the unit vectors ≥ ``threshold``."""
+    unit = _matrix(t["unit"], np.float32)
+    return np.einsum("ij,ij->i", unit[iu], unit[ju]) >= threshold
+
+
 def embedding_neardup(ds, threshold: float = 0.97, n_planes: int = 14,
                       seed: int = 11, id_column: str = "vec_id",
                       vec_column: str = "embedding", n_tables: int = 1):
-    """Random-hyperplane LSH buckets → within-bucket pairwise cosine ≥
-    threshold (inside ``map_groups`` bucket tasks) → clusters.
-    Returns (survivors, cluster_map).
+    """Random-hyperplane LSH buckets → pairwise cosine ≥ threshold →
+    clusters. Returns (survivors, cluster_map).
 
     ``n_tables`` independent LSH tables (different plane seeds) are
-    bucketed in ONE pass: each doc emits one ``(table, bucket)`` row
-    per table and verified pairs from all tables union before
-    clustering — a pair split by table 0's planes is recalled when any
-    other table co-buckets it (miss probability ``(1−(1−θ/π)^p)^T``
-    per pair). Cost: the unit-vector stream is replicated ``n_tables``×
-    into the bucket shuffle — production runs use 2–4 tables.
+    bucketed in ONE pass: each doc emits one key row per table and
+    verified pairs from all tables union before clustering — a pair
+    split by table 0's planes is recalled when any other table
+    co-buckets it (miss probability ``(1−(1−θ/π)^p)^T`` per pair). Cost:
+    the candidate unit vectors are joined onto ``n_tables``× as many
+    key rows — production runs use 2–4 tables.
     """
-    import functools
-
-    first = ds.take(1)
-    dim = len(first[0][vec_column]) if first else 0
-    planes_all = (_table_planes(dim, n_planes, seed, n_tables)
-                  if dim else None)
-
-    def _bucket(t: pa.Table) -> pa.Table:
-        col = t[vec_column].combine_chunks() if isinstance(t[vec_column], pa.ChunkedArray) else t[vec_column]
-        n = len(col)
-        flat = np.asarray(col.values.to_numpy(zero_copy_only=False), dtype=np.float32)
-        mat = flat.reshape(n, -1)
-        norms = np.linalg.norm(mat, axis=1, keepdims=True)
-        unit = mat / np.maximum(norms, 1e-12)
-        shifts = np.arange(n_planes, dtype=np.uint64)[None, :]
-        keys = np.empty((n_tables, n), np.uint64)
-        for ti in range(n_tables):
-            bits = (unit @ planes_all[ti]) > 0
-            keys[ti] = (bits.astype(np.uint64) << shifts).sum(axis=1)
-        ids = t[id_column].combine_chunks() if isinstance(t[id_column], pa.ChunkedArray) else t[id_column]
-        idx = pa.array(np.tile(np.arange(n, dtype=np.int64), n_tables))
-        unit_col = pa.FixedSizeListArray.from_arrays(
-            pa.array(unit.reshape(-1)), mat.shape[1])
-        return pa.table({
-            id_column: ids.take(idx),
-            "table": pa.array(np.repeat(np.arange(n_tables, dtype=np.int32), n)),
-            "bucket": pa.array(keys.reshape(-1).astype(np.int64)),
-            "unit": unit_col.take(idx),
-        })
-
-    key_cols = ["table", "bucket"]
-    bucketed = ds.select_columns([id_column, vec_column]).map_batches(
-        _bucket, batch_format="pyarrow").materialize()
-    keys_ref = _dup_keys_ref(bucketed.select_columns(key_cols), key_cols)
-    if keys_ref is None:
-        return ds, {}
-    dup_rows = _filter_dup_rows(bucketed, key_cols, keys_ref)
-    verified = dup_rows.groupby("__bkey").map_groups(
-        functools.partial(_embedding_verify_group, threshold=threshold,
-                          id_column=id_column),
-        batch_format="pandas",
-    )
-    return _cluster_and_filter(ds, verified, id_column)
+    units = _compact(ds.select_columns([id_column, vec_column]).map_batches(
+        _unit_batch, fn_args=(id_column, vec_column), batch_format="pyarrow"))
+    keys = units.map_batches(_hyperplane_bands,
+                             fn_args=(id_column, n_planes, seed, n_tables),
+                             batch_format="pyarrow")
+    return near_dup(ds, keys, units, _cosine, threshold, id_column)
 
 
 # ---------------------------------------------------------------------------
@@ -764,10 +543,8 @@ def _explode_lines_batch(t: pa.Table, id_column: str, column: str,
     idx = np.arange(total, dtype=np.int64) - np.repeat(starts, counts)
     lhash = pd.util.hash_pandas_object(
         pd.Series(flat.to_pandas()), index=False).to_numpy().view(np.int64)
-    ids = t[id_column].combine_chunks() if isinstance(
-        t[id_column], pa.ChunkedArray) else t[id_column]
     return pa.table({
-        id_column: ids.take(pa.array(parent)),
+        id_column: t[id_column].take(pa.array(parent)),
         "idx": pa.array(idx),
         "line": flat,
         "lhash": pa.array(lhash),

@@ -2,10 +2,11 @@
 
 Media travel through the engine as ``binary`` columns (or ``media_ref``
 pointers) plus typed metadata — NEVER decoded inside geometry stages
-(SURVEY.md §7.3.6). Image decode and feature extraction are
-actor-pool ``map_batches`` stages with small ``batch_size`` (decoded
-frames are ~3 orders of magnitude larger than their source bytes, so
-``batch_size × concurrency × frame_bytes`` must fit the worker heap).
+(SURVEY.md §7.3.6). Image decode is an actor-pool ``map_batches``
+stage and feature extraction a task stage, both with small
+``batch_size`` (decoded frames are ~3 orders of magnitude larger than
+their source bytes, so ``batch_size × concurrency × frame_bytes`` must
+fit the worker heap).
 
 The image codec library may be missing, so the decode stage's
 ``__init__`` probes for the real backend (PIL) and
@@ -115,9 +116,14 @@ class ImageFeatureStage:
 def decode_pipeline(ds, decode_concurrency: int = 4, batch_size: int = 32,
                     height: int = 64, width: int = 64):
     """media table → decoded + featured. Small batches: decoded pixels
-    are ``h*w*3`` bytes/row — size ``batch_size × concurrency`` to heap."""
+    are ``h*w*3`` bytes/row — size ``batch_size × concurrency`` to heap.
+    The decode pool is capped by ``stages.pool_size``, and the
+    stateless feature stage runs as tasks, so the read keeps a CPU."""
+    from . import pool_size
+
     ds = ds.map_batches(ImageDecodeStage, batch_format="pyarrow",
                         fn_constructor_kwargs={"height": height, "width": width},
-                        batch_size=batch_size, concurrency=decode_concurrency)
-    return ds.map_batches(ImageFeatureStage, batch_format="pyarrow",
-                          batch_size=batch_size, concurrency=2)
+                        batch_size=batch_size,
+                        concurrency=pool_size(decode_concurrency))
+    return ds.map_batches(ImageFeatureStage(), batch_format="pyarrow",
+                          batch_size=batch_size)

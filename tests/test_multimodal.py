@@ -48,3 +48,26 @@ def test_decode_pipeline_streaming(ray_session):
     assert len(rows) == 40
     assert len(rows[0]["features"]) == 14
 
+
+def test_decode_pipeline_over_parquet_read_on_4_cpus(ray_session, tmp_path):
+    """A Parquet read under the decode pipeline finishes on a 4-CPU Ray:
+    the decode pool leaves the read task a CPU. Run in a thread and
+    bounded, so a starved read fails the test instead of hanging it."""
+    import threading
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    pq.write_table(_media(40), tmp_path / "media.parquet")
+    out = {}
+
+    def run():
+        ds = rd.read_parquet(str(tmp_path / "media.parquet"))
+        out["rows"] = decode_pipeline(ds, decode_concurrency=2, batch_size=8,
+                                      height=16, width=16).take_all()
+
+    t = threading.Thread(target=run, daemon=True)
+    t.start()
+    t.join(timeout=120)
+    assert not t.is_alive(), "decode pipeline over a Parquet read hung"
+    assert len(out["rows"]) == 40
+    assert len(out["rows"][0]["features"]) == 14

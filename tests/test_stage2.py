@@ -973,3 +973,34 @@ def test_dup_keys_semi_join_path_equivalent(ray_session, monkeypatch):
     for name, (run, id_col) in runs.items():
         surv, clus = run()
         assert (sorted(surv.to_pandas()[id_col]), clus) == want[name], name
+
+
+def test_near_dup_verify_runs_once_per_hash_bucket(ray_session, tmp_path):
+    """The verify step scores a whole hash bucket of LSH buckets per
+    call: 200 two-member LSH buckets cost at most NEAR_DUP_BUCKETS
+    score calls, not one per LSH bucket. Each call appends a line to a
+    file, so calls on any worker are counted."""
+    import ray.data as rd
+    from ocr_table_extractor_to_csv_ray.functions import dedup
+
+    n = 200
+    ids = pa.array(range(2 * n), pa.int64())
+    keys = rd.from_arrow(pa.table({
+        "bkey": pa.array(np.repeat(np.arange(n) * 7919, 2), pa.int64()),
+        "doc_id": ids})).repartition(4)
+    docs = rd.from_arrow(pa.table({"doc_id": ids,
+                                   "v": pa.array(np.arange(2 * n))}))
+    calls = tmp_path / "calls"
+
+    def score(t, iu, ju, threshold):
+        with open(calls, "a") as fh:
+            fh.write(f"{len(iu)}\n")
+        return np.ones(len(iu), bool)
+
+    survivors, cluster = dedup.near_dup(docs, keys, docs, score, 0.0,
+                                        "doc_id")
+    assert sorted(survivors.to_pandas()["doc_id"]) == list(range(0, 2 * n, 2))
+    assert cluster == {i: i - i % 2 for i in range(2 * n)}
+    pairs_per_call = [int(x) for x in calls.read_text().split()]
+    assert sum(pairs_per_call) == n
+    assert len(pairs_per_call) <= dedup.NEAR_DUP_BUCKETS < n

@@ -1,12 +1,16 @@
 """Interleaved end-to-end benchmark pairs between two checkouts.
 
     python tools/perf_pairs.py OLD_CHECKOUT NEW_CHECKOUT --workload W --seeds 11-20
+    python tools/perf_pairs.py OLD_CHECKOUT NEW_CHECKOUT --query Q[,Q] --sf DIR --pairs 6
 
-For each seed, runs ``perfbench/run.py --workload W --seed S --trace 0`` once
-in each checkout; the side that runs first alternates from pair to pair. Each
-run is its own process group under a timeout, and ``ray stop --force`` runs
-after every run, so no Ray process outlives it. Prints one line per run, then
-for each end-to-end metric of ``BENCHMARK.json``: both sides' median and
+A run is ``perfbench/run.py --workload W --seed S --trace 0`` (one per seed),
+or one process on a 4-CPU Ray that calls each ``__ray_entry__`` query on DIR
+once to warm up and reports the fastest of three more calls as ``Q.wall_s``.
+Each pair runs once in each checkout; the side that runs first alternates.
+Each run is its own process group under a timeout, and ``ray stop --force``
+runs after every run, so no Ray process outlives it. Prints one line per run,
+then for each metric (the end-to-end metrics of ``BENCHMARK.json``, or each
+query's wall time under the ``wall_s`` bound): both sides' median and
 quartiles, the pairs NEW won, OLD's IQR, and whether NEW meets the gain rule
 (wins at least 9 of 10 pairs, and its median beats OLD's by more than OLD's
 IQR). Exits non-zero when any run is not ``correct`` or has failed docs.
@@ -27,6 +31,26 @@ WIN_SHARE = 0.9
 SECONDS = 10.0     # run length, as perfbench/README.md documents for the benchmark
 TIMEOUT_S = 400.0  # per run
 
+QUERY_RUN = """
+import json, sys, time
+import ray
+ray.init(address="local", num_cpus=4, include_dashboard=False, logging_level="ERROR")
+from ray.data import DataContext
+DataContext.get_current().enable_progress_bars = False
+import __ray_entry__ as E
+metrics = {}
+for name in sys.argv[2].split(","):
+    def run():
+        t0 = time.perf_counter()
+        res = E.queries()[name](sys.argv[1])
+        getattr(res, "to_pandas", lambda: res)()
+        return time.perf_counter() - t0
+    run()
+    metrics[name + ".wall_s"] = {"value": min(run() for _ in range(3))}
+ray.shutdown()
+print(json.dumps({"correct": True, "failed": 0, "metrics": metrics}))
+"""
+
 
 def parse_seeds(spec: str) -> list:
     seeds = []
@@ -41,11 +65,10 @@ def ray_stop() -> None:
                    stderr=subprocess.DEVNULL, timeout=120, check=False)
 
 
-def run_one(checkout: str, workload: str, seed: int) -> dict:
-    """One ``perfbench/run.py`` run in its own process group; the parsed
-    result line, or ``{"correct": False, ...}`` on a timeout or crash."""
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"]
+def run_one(checkout: str, cmd: list) -> dict:
+    """One run of ``cmd`` in ``checkout``, in its own process group; the
+    parsed result line, or ``{"correct": False, ...}`` on a timeout or
+    crash."""
     proc = subprocess.Popen(cmd, cwd=checkout, stdout=subprocess.PIPE,
                             stderr=subprocess.PIPE, text=True, start_new_session=True)
     out = err = ""
@@ -104,31 +127,50 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("old")
     ap.add_argument("new")
-    ap.add_argument("--workload", required=True)
-    ap.add_argument("--seeds", required=True, help="e.g. 11-20 or 1,3,5-7")
+    mode = ap.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--workload")
+    mode.add_argument("--query", help="query names, comma-separated")
+    ap.add_argument("--seeds", help="workload mode: e.g. 11-20 or 1,3,5-7")
+    ap.add_argument("--sf", help="query mode: the sf directory")
+    ap.add_argument("--pairs", type=int, default=6, help="query mode")
     a = ap.parse_args()
+    if (a.query and not a.sf) or (a.workload and not a.seeds):
+        ap.error("--query needs --sf, --workload needs --seeds")
     sides = {"old": os.path.abspath(a.old), "new": os.path.abspath(a.new)}
     with open(os.path.join(sides["new"], "BENCHMARK.json")) as fh:
         metrics = json.load(fh)["end_to_end"]
+    if a.query:
+        bound = next(m["bound"] for m in metrics if m["name"] == "wall_s")
+        metrics = [{"name": f"{q}.wall_s", "better": "lower", "bound": bound}
+                   for q in a.query.split(",")]
+        label = a.query
+        runs_of = [(f"pair {p:3d}", [sys.executable, "-c", QUERY_RUN, a.sf, a.query])
+                   for p in range(1, a.pairs + 1)]
+    else:
+        label = a.workload
+        runs_of = [(f"seed {s:3d}", [sys.executable, "perfbench/run.py", "--workload",
+                                     a.workload, "--seed", str(s), "--seconds",
+                                     str(SECONDS), "--trace", "0"])
+                   for s in parse_seeds(a.seeds)]
 
     ray_stop()
     runs = {"old": [], "new": []}
     bad = 0
-    for i, seed in enumerate(parse_seeds(a.seeds)):
+    for i, (tag, cmd) in enumerate(runs_of):
         for side in (("old", "new") if i % 2 == 0 else ("new", "old")):
-            r = run_one(sides[side], a.workload, seed)
+            r = run_one(sides[side], cmd)
             runs[side].append(r)
             ok = r["correct"] and r["failed"] == 0
             bad += not ok
             vals = "  ".join(f"{m['name']}={r['metrics'][m['name']]['value']:.4g}"
                              for m in metrics if m["name"] in r["metrics"])
-            print(f"seed {seed:3d} {side}  {'correct' if ok else 'NOT CORRECT'}  "
+            print(f"{tag} {side}  {'correct' if ok else 'NOT CORRECT'}  "
                   f"failed={r['failed']}  digest={str(r['digest'])[:12]}  {vals}  ({r['note']})",
                   flush=True)
 
     good = [i for i in range(len(runs["old"]))
             if all(runs[s][i]["correct"] and runs[s][i]["failed"] == 0 for s in runs)]
-    print(f"{a.workload}: {len(good)} complete pairs")
+    print(f"{label}: {len(good)} complete pairs")
     for m in metrics if good else []:
         old, new = ([runs[s][i]["metrics"][m["name"]]["value"] for i in good] for s in ("old", "new"))
         print(summarize(m["name"], m["better"], m["bound"], old, new))
