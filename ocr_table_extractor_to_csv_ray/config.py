@@ -56,11 +56,9 @@ class EngineConfig:
     oversize_token_threshold: int = 200_000 # no engine stage reads it; perfbench sets it
     skew_guard: bool = True                 # transformers: page-split OCR of media-heavy docs
     ocr_pages_per_shard: int = 16           # max media spans per OCR shard
-    ocr_concurrency: int = 0                # OCR actor pool size (0 = auto: CPU-scaled)
     # batch sizes trade per-call overhead against worker heap: these
     # defaults suit ref-based media rows; drop to 8-16 when rows carry
     # decoded page images (batch × concurrency × image_bytes must fit)
     ocr_batch_size: int = 64
-    model_concurrency: int = 0              # layout-model actor pool size (0 = auto)
     model_batch_size: int = 32
     layout: LayoutConfig = field(default_factory=LayoutConfig)

@@ -44,7 +44,9 @@ import pandas as pd
 import pyarrow as pa
 
 from .split import hash_split, seeded_shuffle_split
-from .train import LABEL2ID, train_token_classifier
+from .train import (LABEL2ID, ShardGradWorker, _doc_rows, result_frame,
+                    stepsync, train_token_classifier,
+                    train_token_classifier_stepsync, training_examples)
 
 log = logging.getLogger(__name__)
 
@@ -154,11 +156,6 @@ class _ShardBase:
                                max_length=self._max_seq_length,
                                return_tensors="pt")
 
-    @staticmethod
-    def _docs(batch: pa.Table):
-        return zip(batch["doc_id"].to_pylist(), batch["words"].to_pylist(),
-                   batch["bboxes"].to_pylist(), batch["labels"].to_pylist())
-
 
 class LayoutLMTrainShard(_ShardBase):
     """Actor: local AdamW fine-tune of one shard; one output row
@@ -184,7 +181,7 @@ class LayoutLMTrainShard(_ShardBase):
         opt = torch.optim.AdamW(self._model.parameters(), lr=self._lr)
         loss_sum, n_tok, n_ex = 0.0, 0, 0
         for epoch in range(self._local_epochs):
-            for doc_id, words, boxes, labels in self._docs(batch):
+            for doc_id, words, boxes, labels in _doc_rows(batch):
                 if not words:
                     continue
                 enc = self._encode(doc_id, words, boxes, labels)
@@ -208,17 +205,16 @@ class LayoutLMTrainShard(_ShardBase):
 
 class LayoutLMEvalShard(_ShardBase):
     """Actor: frozen-weights metrics partial
-    ``(correct, n_tokens, loss_sum, n_examples)`` with the reference's
+    ``(correct, n_tokens, loss_sum)`` with the reference's
     −100 subtoken masking (``train_layoutlm.py:167-183``)."""
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         torch = self._torch
         if hasattr(self._model, "eval"):
             self._model.eval()
-        correct, n_tok, n_ex = 0, 0, 0
-        loss_sum = 0.0
+        correct, n_tok, loss_sum = 0, 0, 0.0
         with torch.no_grad():
-            for doc_id, words, boxes, labels in self._docs(batch):
+            for doc_id, words, boxes, labels in _doc_rows(batch):
                 if not words:
                     continue
                 enc = self._encode(doc_id, words, boxes, labels)
@@ -230,12 +226,10 @@ class LayoutLMEvalShard(_ShardBase):
                 n_valid = int(mask.sum())
                 loss_sum += float(out.loss.item()) * n_valid
                 n_tok += n_valid
-                n_ex += 1
         return pa.table({
             "correct": pa.array([correct], pa.int64()),
             "n_tokens": pa.array([n_tok], pa.int64()),
             "loss_sum": pa.array([loss_sum], pa.float64()),
-            "n_examples": pa.array([n_ex], pa.int64()),
         })
 
 
@@ -274,118 +268,51 @@ class _ParamCodec:
         return out
 
 
-class LayoutLMGradWorker(_ShardBase):
-    """Step-sync shard actor (raw Ray actor — lockstep iteration is the
-    one pattern ``map_batches`` can't express): holds its contiguous
-    slice of the doc_id-sorted example list, serves per-minibatch
-    quantized LayoutLM gradients. Per-document backward → per-document
-    int64 quantization → integer sum, so the cross-shard reduce is
-    associative (bit-stable under any sharding), mirroring
-    ``train.py``'s fixed-point trick at LayoutLM scale."""
+class LayoutLMGradWorker(ShardGradWorker, _ShardBase):
+    """Step-sync shard actor (:class:`~.train.ShardGradWorker`) serving
+    per-minibatch quantized LayoutLM gradients: per-document backward →
+    per-document int64 quantization → integer sum, the same fixed-point
+    reduce ``train.py`` uses, at ``GRAD_SCALE``."""
+
+    SCALE = GRAD_SCALE
 
     def __init__(self, table_refs, model_id: str = DEFAULT_MODEL_ID,
                  max_seq_length: int = 512,
                  image_loader: Optional[Callable] = None) -> None:
-        super().__init__(model_id, None, max_seq_length, image_loader)
-        import ray
-        docs: List = []
-        for t in ray.get(list(table_refs)):
-            docs.extend(self._docs(t))
-        self._shard = docs
-        self._base = 0
-        self._codec = _ParamCodec(
-            {k: _to_numpy(v) for k, v in self._model.state_dict().items()})
+        _ShardBase.__init__(self, model_id, None, max_seq_length,
+                            image_loader)
+        ShardGradWorker.__init__(self, table_refs)
+        self._codec = _ParamCodec(self._state())
 
-    def count(self) -> int:
-        return len(self._shard)
+    def _state(self) -> Dict[str, np.ndarray]:
+        return {k: _to_numpy(v) for k, v in self._model.state_dict().items()}
 
-    def set_base(self, base: int) -> None:
-        self._base = int(base)
+    def init_weights(self) -> np.ndarray:
+        return self._codec.flatten(self._state())
 
-    def init_state(self) -> bytes:
-        return state_to_bytes(self._model.state_dict())
+    def export(self, W: np.ndarray) -> bytes:
+        return state_to_bytes(self._codec.unflatten(W))
 
-    def grad(self, flat_weights: np.ndarray, lo: int, hi: int):
-        """(int64 grad over float params, loss_q, n_tokens) for the
-        global minibatch slice ∩ this shard."""
+    def _params(self, W: np.ndarray) -> None:
         torch = self._torch
-        state = self._codec.unflatten(np.asarray(flat_weights, np.float64))
         self._model.load_state_dict(
-            {k: torch.as_tensor(v) for k, v in state.items()})
+            {k: torch.as_tensor(v)
+             for k, v in self._codec.unflatten(W).items()})
         self._model.train()
-        gsum = np.zeros(self._codec.total, np.int64)
-        loss_q, n_tok = 0, 0
-        i0 = max(lo - self._base, 0)
-        i1 = min(hi - self._base, len(self._shard))
-        for i in range(i0, i1):
-            doc_id, words, boxes, labels = self._shard[i]
-            if not words:
-                continue
-            enc = self._encode(doc_id, words, boxes, labels)
-            out = self._model(**enc)
-            n_valid = int((_to_numpy(enc["labels"]) != -100).sum())
-            self._model.zero_grad()
-            (out.loss * n_valid).backward()   # sum-of-token-losses grads
-            flat_g = np.concatenate([
-                (_to_numpy(p.grad) if p.grad is not None
-                 else np.zeros(self._codec.shapes[name])).reshape(-1)
-                for name, p in sorted(self._model.named_parameters())
-                if name in self._codec.shapes] or [np.zeros(0)])
-            gsum += np.round(flat_g * GRAD_SCALE).astype(np.int64)
-            loss_q += int(round(float(out.loss.item()) * n_valid * GRAD_SCALE))
-            n_tok += n_valid
-        return gsum, loss_q, n_tok
 
-
-def _stepsync_layoutlm(train_ds, base_kwargs: dict, *, lr: float,
-                       n_rounds: int, global_batch_size: int,
-                       n_shards: int, weight_decay: float):
-    """HF-Trainer-step-equivalent loop: one AdamW update per global
-    minibatch, gradient all-reduced across persistent shard actors.
-    ``n_rounds`` plays the epoch role."""
-    import ray
-    from .train import adamw_step
-
-    n_total = train_ds.count()
-    n_shards = max(1, min(int(n_shards), max(1, n_total)))
-    Worker = ray.remote(LayoutLMGradWorker)
-    ordered = train_ds.sort("doc_id").materialize()
-    actors = []
-    for split in ordered.split(n_shards, equal=False):
-        actors.append(Worker.remote(split.to_arrow_refs(), **base_kwargs))
-    counts = ray.get([a.count.remote() for a in actors])
-    base = 0
-    for a, c in zip(actors, counts):
-        ray.get(a.set_base.remote(base))
-        base += c
-    n_docs = base
-
-    state0 = bytes_to_state(ray.get(actors[0].init_state.remote()))
-    codec = _ParamCodec(state0)
-    W = codec.flatten(state0)
-    m = np.zeros_like(W)
-    v = np.zeros_like(W)
-    B = max(1, int(global_batch_size))
-    n_steps = (n_docs + B - 1) // B
-    t = 0
-    for _ in range(max(1, int(n_rounds))):
-        for s in range(n_steps):
-            lo, hi = s * B, min((s + 1) * B, n_docs)
-            w_step = ray.put(W)
-            parts = ray.get([a.grad.remote(w_step, lo, hi) for a in actors])
-            n_tok = sum(p[2] for p in parts)
-            if n_tok == 0:
-                continue
-            g_q = np.sum([p[0] for p in parts], axis=0)
-            t += 1
-            g = g_q.astype(np.float64) / GRAD_SCALE / n_tok
-            W, m, v = adamw_step(W, m, v, g, t, lr,
-                                 weight_decay=weight_decay)
-    final_state = codec.unflatten(W)
-    weights_ref = ray.put(state_to_bytes(final_state))
-    for a in actors:
-        ray.kill(a)
-    return weights_ref, n_docs
+    def _doc_grad(self, _, doc):
+        enc = self._encode(*doc)
+        out = self._model(**enc)
+        n_valid = int((_to_numpy(enc["labels"]) != -100).sum())
+        self._model.zero_grad()
+        (out.loss * n_valid).backward()   # sum-of-token-losses grads
+        flat_g = np.concatenate([
+            (_to_numpy(p.grad) if p.grad is not None
+             else np.zeros(self._codec.shapes[name])).reshape(-1)
+            for name, p in sorted(self._model.named_parameters())
+            if name in self._codec.shapes] or [np.zeros(0)])
+        # token accuracy is read by the eval pass, not per step
+        return flat_g, float(out.loss.item()) * n_valid, n_valid, 0
 
 
 def _eval_pass(ds, shard_kwargs: dict, batch_size: int, concurrency):
@@ -393,9 +320,8 @@ def _eval_pass(ds, shard_kwargs: dict, batch_size: int, concurrency):
         LayoutLMEvalShard, fn_constructor_kwargs=shard_kwargs,
         batch_format="pyarrow", batch_size=batch_size,
         concurrency=concurrency).to_pandas()
-    n_tok = int(parts["n_tokens"].sum())
-    return (int(parts["correct"].sum()), n_tok,
-            float(parts["loss_sum"].sum()), int(parts["n_examples"].sum()))
+    return (int(parts["correct"].sum()), int(parts["n_tokens"].sum()),
+            float(parts["loss_sum"].sum()))
 
 
 def finetune_layoutlm(examples_ds, *, model_id: str = DEFAULT_MODEL_ID,
@@ -437,7 +363,6 @@ def finetune_layoutlm(examples_ds, *, model_id: str = DEFAULT_MODEL_ID,
             "(train_layoutlm.py) running as the linear token classifier "
             "(functions/train.py), same output schema")
         if strategy == "step_sync":
-            from .train import train_token_classifier_stepsync
             out = train_token_classifier_stepsync(
                 examples_ds, n_epochs=n_rounds, lr=lr,
                 global_batch_size=global_batch_size, n_shards=n_shards,
@@ -447,15 +372,11 @@ def finetune_layoutlm(examples_ds, *, model_id: str = DEFAULT_MODEL_ID,
         out.insert(0, "backend", "linear-fallback")
         return out
 
-    import pyarrow.compute as pc
     import ray
+    from ..stages import pool_size
 
-    ex = (examples_ds
-          .map_batches(lambda t: t.filter(pc.equal(t["error"], "")),
-                       batch_format="pyarrow")
-          .select_columns(["doc_id", "words", "bboxes", "labels"])
-          .materialize())          # consumed 2 + n_rounds times; at corpus
-    #                               scale checkpoint to parquet instead
+    # consumed 2 + n_rounds times; at corpus scale checkpoint to parquet
+    ex = training_examples(examples_ds).materialize()
     splitter = hash_split if split == "hash" else seeded_shuffle_split
     train_ds, eval_ds = splitter(ex, eval_ratio=eval_ratio, seed=seed)
     train_ds = train_ds.materialize()
@@ -464,15 +385,16 @@ def finetune_layoutlm(examples_ds, *, model_id: str = DEFAULT_MODEL_ID,
         eval_ds = train_ds                       # "no" → score on train
     base_kwargs = dict(model_id=model_id, max_seq_length=max_seq_length,
                        image_loader=image_loader)
-    conc = concurrency or (1, 4)
+    conc = pool_size(concurrency or 4)
 
-    _, n0, loss0, _ = _eval_pass(eval_ds, {**base_kwargs, "weights_ref": None},
-                                 batch_size, conc)
+    _, n0, loss0 = _eval_pass(eval_ds, {**base_kwargs, "weights_ref": None},
+                              batch_size, conc)
     if strategy == "step_sync":
-        weights_ref, n_train = _stepsync_layoutlm(
-            train_ds, base_kwargs, lr=lr, n_rounds=n_rounds,
-            global_batch_size=global_batch_size, n_shards=n_shards,
+        state, n_train, _ = stepsync(
+            train_ds, LayoutLMGradWorker, base_kwargs, n_epochs=n_rounds,
+            lr=lr, global_batch_size=global_batch_size, n_shards=n_shards,
             weight_decay=weight_decay)
+        weights_ref = ray.put(state)
     else:
         weights_ref = None
         n_train = 0
@@ -488,7 +410,7 @@ def finetune_layoutlm(examples_ds, *, model_id: str = DEFAULT_MODEL_ID,
             state = fedavg(list(parts["state"]), list(parts["n_tokens"]))
             weights_ref = ray.put(state)
 
-    correct, n_tok, loss_f, _ = _eval_pass(
+    correct, n_tok, loss_f = _eval_pass(
         eval_ds, {**base_kwargs, "weights_ref": weights_ref},
         batch_size, conc)
 
@@ -500,14 +422,7 @@ def finetune_layoutlm(examples_ds, *, model_id: str = DEFAULT_MODEL_ID,
         shard._model.save_pretrained(output_dir)
         shard._processor.save_pretrained(output_dir)
 
-    return pd.DataFrame({
-        "backend": pd.array([backend], dtype=object),
-        "n_examples": pd.array([n_train], dtype="int64"),
-        "n_tokens": pd.array([n_tok], dtype="int64"),
-        "initial_loss": pd.array([loss0 / n0 if n0 else 0.0],
-                                 dtype="float64"),
-        "final_loss": pd.array([loss_f / n_tok if n_tok else 0.0],
-                               dtype="float64"),
-        "token_accuracy": pd.array([correct / n_tok if n_tok else 0.0],
-                                   dtype="float64"),
-    })
+    out = result_frame(n_train, n_tok, loss0 / n0 if n0 else 0.0, loss_f,
+                       correct)
+    out.insert(0, "backend", backend)
+    return out

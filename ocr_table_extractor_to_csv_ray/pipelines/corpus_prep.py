@@ -31,6 +31,7 @@ import pyarrow.compute as pc
 from ..functions.pii import pii_scrub_batch
 from ..functions.sampling import temperature_sample
 from ..functions.textstats import QualityStage
+from ..stages import pool_size
 
 
 def prep_corpus(ds, quality_min: float = 0.5, alpha: float = 0.5,
@@ -46,15 +47,11 @@ def prep_corpus(ds, quality_min: float = 0.5, alpha: float = 0.5,
     default. Pass ``checkpoint_dir`` to spill the (much smaller) gated
     ``(id, stratum, n_tokens)`` projection to parquet once and feed both
     passes from it — the same escape hatch ``kmeans_embeddings`` uses
-    for its cross-iteration scan."""
+    for its cross-iteration scan.
 
-    if quality_concurrency is None:
-        # cap the actor pool well under the CPU count so the read/task
-        # stages can't starve (the pool-starvation deadlock at low CPU
-        # counts — same sizing rule as pipelines/transformers.py)
-        import ray
-        cpus = int(ray.cluster_resources().get("CPU", 4))
-        quality_concurrency = max(1, min(8, cpus * 2 // 3))
+    ``quality_concurrency`` is the quality actor pool's request
+    (default 8), capped by ``stages.pool_size`` so the read and task
+    stages keep CPUs."""
 
     scrubbed = ds.map_batches(
         functools.partial(pii_scrub_batch, id_column=id_column),
@@ -66,7 +63,7 @@ def prep_corpus(ds, quality_min: float = 0.5, alpha: float = 0.5,
 
     scored = (scrubbed.map_batches(_to_text, batch_format="pyarrow")
               .map_batches(QualityStage, batch_format="pyarrow",
-                           concurrency=quality_concurrency))
+                           concurrency=pool_size(quality_concurrency or 8)))
 
     def _gate(t: pa.Table) -> pa.Table:
         return t.filter(pc.greater_equal(t["quality_score"],

@@ -7,7 +7,8 @@
       └─ map_batches(TransformersExtractStage)         # 3-level fallback compose
 
 Both stateful stages are actor pools (A1/A2): engine/model setup once
-per actor, sized by ``EngineConfig.{ocr,model}_{concurrency,batch_size}``.
+per actor, batches of ``EngineConfig.{ocr,model}_batch_size``, the two
+pools sized together by the one rule, ``stages.pool_size``.
 """
 
 from __future__ import annotations
@@ -15,28 +16,9 @@ from __future__ import annotations
 from typing import Optional
 
 from ..config import EngineConfig, LayoutConfig
+from ..stages import pool_size
 from ..stages.model import LayoutScorerStage, TransformersExtractStage
 from ..stages.ocr import OcrStage, PdfRasterizeStage
-
-
-def _pool_sizes(cfg: EngineConfig) -> tuple:
-    """Cap the two actor pools so they never reserve every CPU — a pool
-    that takes the whole cluster starves the read/write stages and the
-    streaming pipeline deadlocks (ray_guide: size ``concurrency ×
-    num_cpus`` to leave headroom)."""
-    import ray
-    try:
-        avail = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-    except Exception:
-        avail = 8
-    budget = max(2, (avail * 2) // 3)          # at most 2/3 of CPUs in pools
-    # concurrency 0 = auto: ~1/3 of the budget each (measured sweet spot
-    # on 32 CPUs: 6/6 halves wall vs 4/2; 10/10 regresses on startup)
-    ocr_req = cfg.ocr_concurrency or max(1, budget // 3)
-    model_req = cfg.model_concurrency or max(1, budget // 3)
-    ocr = max(1, min(ocr_req, budget // 2))
-    model = max(1, min(model_req, budget - ocr))
-    return ocr, model
 
 
 UNBOUNDED_MEDIA = 1 << 62
@@ -62,7 +44,9 @@ def build_transformers_ds(ds, cfg: Optional[EngineConfig] = None,
     stage a second time."""
     cfg = cfg or EngineConfig(layout=LayoutConfig(layout="transformers"))
     lcfg = cfg.layout
-    ocr_n, model_n = _pool_sizes(cfg)
+    # 6/6 is the measured sweet spot on 32 CPUs: it halves the wall time
+    # of 4/2, and 10/10 regresses on actor startup
+    ocr_n, model_n = pool_size(6, 6)
 
     # decide the guard BEFORE attaching the rasterizer: the probe (when
     # no manifest stat exists) must scan the RAW stream — a

@@ -476,11 +476,7 @@ def test_transformers_pipeline_media_only(ray_session):
     the OCR actor pool (fake engine) + scorer + compose chain."""
     import ray.data as rd
     from ocr_table_extractor_to_csv_ray.pipelines.transformers import (
-        _pool_sizes, build_transformers_ds)
-    from ocr_table_extractor_to_csv_ray.config import EngineConfig
-
-    ocr_n, model_n = _pool_sizes(EngineConfig())
-    assert ocr_n >= 1 and model_n >= 1 and ocr_n + model_n <= 4  # 4-cpu session
+        build_transformers_ds)
 
     ds = rd.from_arrow(_media_doc("vid-9", n_media=1))
     out = build_transformers_ds(ds).take_all()
@@ -828,6 +824,121 @@ def test_finetune_step_sync_fallback_schema(ray_session):
     with pytest.raises(ValueError, match="strategy"):
         finetune_layoutlm(build_dataset(rd.from_arrow(corpus_table(4))),
                           strategy="ddp")
+
+
+def test_stepsync_kills_its_actors_on_every_path(ray_session, monkeypatch):
+    """The step-sync driver kills every shard actor whether the loop
+    fails (a worker whose ``grad`` raises on step 2) or succeeds, and the
+    worker's error reaches the caller."""
+    import ray
+    import ray.data as rd
+    from ocr_table_extractor_to_csv_ray.functions import train
+
+    kills = []
+    real_kill = ray.kill
+    monkeypatch.setattr(ray, "kill",
+                        lambda a: (kills.append(a), real_kill(a)))
+    n = 6
+    ds = rd.from_arrow(pa.table({
+        "doc_id": [f"d{i}" for i in range(n)],
+        "words": [["total", "12"]] * n,
+        "bboxes": [[[0, 0, 90, 10], [200, 0, 240, 10]]] * n,
+        "labels": [["BODY_COL_0", "BODY_COL_1"]] * n,
+        "error": [""] * n}))
+
+    class FailsOnStep2(train._LinearGradWorker):
+        steps = 0
+
+        def grad(self, W, lo, hi):
+            self.steps += 1
+            if self.steps == 2:
+                raise RuntimeError("grad failed on step 2")
+            return super().grad(W, lo, hi)
+
+    with pytest.raises(RuntimeError, match="step 2"):
+        train.stepsync(train.training_examples(ds), FailsOnStep2,
+                       {"n_buckets": 8}, n_epochs=1, lr=0.05,
+                       global_batch_size=2, n_shards=3, weight_decay=0.0)
+    assert len(kills) == 3
+
+    kills.clear()
+    out = train.train_token_classifier_stepsync(
+        ds, n_epochs=1, global_batch_size=2, n_shards=3, n_buckets=8)
+    assert len(kills) == 3
+    assert out["n_examples"][0] == n
+
+
+class _PlanStops(Exception):
+    pass
+
+
+class _PoolRecorder:
+    """Stands in for a Dataset while a pipeline is built: records the
+    ``concurrency`` of every actor-pool ``map_batches`` and stops at
+    the first call that would execute the plan."""
+
+    LAZY = {"select_columns", "groupby", "aggregate"}
+
+    def __init__(self):
+        self.pools = []
+
+    def map_batches(self, fn, **kw):
+        if "concurrency" in kw:
+            self.pools.append(kw["concurrency"])
+        return self
+
+    def __getattr__(self, name):
+        if name in self.LAZY:
+            return lambda *a, **k: self
+        raise _PlanStops(name)
+
+
+# cpus → pool sizes per call site: transformers (OCR, model), dedup
+# MinHash and SimHash, multimodal decode (request 4), corpus_prep
+# (default request 8, then an explicit 2)
+POOLS_BY_CPUS = {
+    1: [(1, 1), 1, 1, 1, 1, 1],
+    2: [(1, 1), 1, 1, 1, 1, 1],
+    4: [(1, 1), 2, 2, 2, 2, 2],
+    8: [(3, 3), 4, 4, 4, 6, 2],
+    16: [(6, 6), 4, 4, 4, 8, 2],
+    32: [(6, 6), 4, 4, 4, 8, 2],
+}
+
+
+@pytest.mark.parametrize("cpus", sorted(POOLS_BY_CPUS))
+def test_every_actor_pool_sized_by_one_rule(cpus, monkeypatch):
+    """Every actor-pool call site is sized by ``stages.pool_size``: at
+    4 CPUs (the tests' and perfbench's Ray) each pool keeps its size,
+    at 1 CPU each is 1, and no pipeline's pools together take more than
+    ``max(n_pools, cpus - 2)`` CPUs."""
+    import ray
+    from ocr_table_extractor_to_csv_ray.functions.dedup import (
+        minhash_signatures, simhash_dedup)
+    from ocr_table_extractor_to_csv_ray.pipelines.corpus_prep import (
+        prep_corpus)
+    from ocr_table_extractor_to_csv_ray.pipelines.transformers import (
+        build_transformers_ds)
+    from ocr_table_extractor_to_csv_ray.stages.multimodal import (
+        decode_pipeline)
+
+    monkeypatch.setattr(ray, "is_initialized", lambda: True)
+    monkeypatch.setattr(ray, "cluster_resources",
+                        lambda: {"CPU": float(cpus)})
+    sites = [lambda d: build_transformers_ds(d, known_max_media=0),
+             minhash_signatures, simhash_dedup, decode_pipeline,
+             prep_corpus,
+             lambda d: prep_corpus(d, quality_concurrency=2)]
+    got = []
+    for build in sites:
+        rec = _PoolRecorder()
+        try:
+            build(rec)
+        except _PlanStops:
+            pass
+        assert rec.pools and sum(rec.pools) <= max(len(rec.pools), cpus - 2)
+        got.append(tuple(rec.pools) if len(rec.pools) > 1 else rec.pools[0])
+    assert got == POOLS_BY_CPUS[cpus]
 
 
 def test_doc_freq_vs_bruteforce(ray_session):
