@@ -1,6 +1,8 @@
 """Line → record assignment kernels, one per layout family.
 
-* :func:`assign_words_to_columns` — generic layout (``assign.py:5-28``)
+* :func:`column_cells` — generic layout, every token of a batch in one
+  pass (``assign.py:5-28``); :func:`assign_words_to_columns` is the same
+  code on one document
 * :func:`assign_dynamic_batch` — dynamic layout, every line of a batch in
   one pass (``assign_dynamic.py:38-72``); :func:`assign_dynamic` is the
   same code on one document
@@ -16,10 +18,25 @@ import numpy as np
 
 from .colmodel import ColumnModel
 from .doc import TokenSOA
-from .geometry import (Line, adaptive_line_spans, gather_lines, line_span_arrays, line_spans,
-                       locate, locate_grouped)
+from .geometry import (Line, adaptive_line_spans, gather_lines, join_runs, line_span_arrays,
+                       line_spans, locate_grouped)
 from .numeric import is_numeric_token
 from .records import Record
+
+
+def column_cells(tok_line: np.ndarray, tok_doc: np.ndarray, xc: np.ndarray, words: np.ndarray,
+                 lo: np.ndarray, hi: np.ndarray, count: np.ndarray
+                 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(line, col, text)`` of every (line, column) cell holding a token
+    (``assign.py:5-28``): each token of a batch (line-major) goes to its
+    doc's first column holding its centre ``xc``, else the nearest
+    boundary; a cell joins its tokens with a space, stripped."""
+    col = locate_grouped(xc, tok_doc, lo, hi, count, closed="both", fallback="boundary")
+    keep = np.flatnonzero(col >= 0)
+    order = keep[np.lexsort((col[keep], tok_line[keep]))]
+    (line, col), text = join_runs((tok_line[order], col[order]), words[order],
+                                  lambda w: " ".join(w).strip())
+    return line, col, text
 
 
 def assign_words_to_columns(
@@ -27,20 +44,19 @@ def assign_words_to_columns(
     toks: TokenSOA,
     columns: Sequence[Tuple[int, int]],
 ) -> List[Record]:
-    """Token → containing column (inclusive), else nearest boundary;
-    cells joined with a space in x-order (``assign.py:5-28``)."""
+    """One doc's :func:`column_cells`, as records."""
     if not columns or not lines:
         return []
     idx = np.concatenate([ln.idx for ln in lines])
-    line_of = np.repeat(np.arange(len(lines)), [ln.idx.size for ln in lines])
-    col = locate((toks.x1[idx] + toks.x2[idx]) / 2.0, columns, closed="both",
-                 fallback="boundary")
-    cells: List[List[List[str]]] = [[[] for _ in columns] for _ in lines]
-    for r, j, word in zip(line_of.tolist(), col.tolist(), toks.text[idx].tolist()):
-        cells[r][j].append(word)
-    return [Record(page=ln.page, y_top=ln.y1, y_bot=ln.y2,
-                   cells=[" ".join(c).strip() for c in row])
-            for ln, row in zip(lines, cells)]
+    iv = np.array(columns, dtype=np.int64).reshape(1, -1, 2)
+    line, col, text = column_cells(
+        np.repeat(np.arange(len(lines)), [ln.idx.size for ln in lines]),
+        np.zeros(idx.size, dtype=np.int64), (toks.x1[idx] + toks.x2[idx]) / 2.0,
+        toks.text[idx], iv[..., 0], iv[..., 1], np.array([len(columns)]))
+    cells = np.full((len(lines), len(columns)), "", dtype=object)
+    cells[line, col] = text
+    return [Record(page=ln.page, y_top=ln.y1, y_bot=ln.y2, cells=row)
+            for ln, row in zip(lines, cells.tolist())]
 
 
 def assign_dynamic_batch(

@@ -4,14 +4,21 @@ Reimplements ``dataset_builder.py:19-265`` from scratch: the generic
 layout used as teacher, with per-token provenance (row/col ids,
 is_header) retained and bboxes normalized to 0-1000.
 
+:func:`teacher_batch` finds every token's row and column for a whole
+batch of documents at once (segmented profiles and ``locate_grouped``);
+``LayoutScorerStage`` labels its batches with it, and
+:func:`build_example` is the same code on one document plus the grid,
+the header split and the boxes.
+
 Quirk ledger (each differs from the sibling generic path — SURVEY.md
 §7.0 point 1):
-- row profile: ``geometry.profile_intervals`` with valley run > 2 px and
-  interval height > 5 px (``dataset_builder.py:49-80``).
-- line → row: ``locate(closed="left", fallback="centre")``
+- row profile: ``geometry.profile_intervals_batch`` with valley run > 2
+  px, interval height > 5 px and the model paths' guard
+  (``dataset_builder.py:49-80``).
+- line → row: ``locate_grouped(closed="left", fallback="centre")``
   (``dataset_builder.py:83-105``), where G4 drops the line
   (``fallback=None``, ``rows.py:54-61``).
-- token → column: ``locate(closed="both", fallback="centre")``
+- token → column: ``locate_grouped(closed="both", fallback="centre")``
   (``dataset_builder.py:108-119``).
 - label: ``OTHER`` if col ∉ [0, max_columns) else
   ``{HEADER|BODY}_COL_{i}`` (``dataset_builder.py:225-238``).
@@ -25,7 +32,8 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .doc import TokenSOA
-from .geometry import Line, build_lines, estimate_columns, locate, profile_intervals
+from .geometry import (LineBatch, column_intervals_batch, doc_line_batch, join_runs,
+                       locate_grouped, profile_intervals_batch)
 from .records import detect_header_row
 
 
@@ -49,12 +57,36 @@ class Example:
     token_order: List[int] = None  # type: ignore[assignment]
 
 
-def compute_row_intervals_db(lines: Sequence[Line], toks: TokenSOA) -> List[Tuple[int, int]]:
-    """G22 row profile (``dataset_builder.py:49-80``): valley > 2,
-    height > 5, full-extent fallback; empty-text tokens excluded."""
-    idx = np.concatenate([ln.idx for ln in lines])
-    idx = idx[toks.text[idx] != ""]
-    return profile_intervals(toks.y1[idx], toks.y2[idx], 2, 5) if idx.size else []
+def teacher_batch(lb: LineBatch, toks: TokenSOA, expected_n_cols: Optional[int] = None
+                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The teacher's ``(row, col)`` of every member token of ``lb`` and
+    each doc's column count (0: the teacher labels nothing), in
+    whole-batch passes (``dataset_builder.py:167-238``; the quirk ledger
+    above): column and row intervals over each doc's non-empty tokens,
+    line → row (row 0 without intervals), token → column."""
+    n_docs = len(lb.doc_lines) - 1
+    tok_line, tok_doc = lb.member_line_doc()
+    m = lb.members
+    x1, x2 = toks.x1[m], toks.x2[m]
+    filled = toks.text[m] != ""
+    lo, hi, count = column_intervals_batch(tok_doc[filled], x1[filled], x2[filled], n_docs,
+                                           expected_n_cols=expected_n_cols)
+    rlo, rhi, rcount, _ = profile_intervals_batch(
+        tok_doc[filled], toks.y1[m][filled], toks.y2[m][filled], n_docs, 2, 5, guard=True)
+    line_doc = np.repeat(np.arange(n_docs), np.diff(lb.doc_lines))
+    line_row = np.maximum(locate_grouped((lb.y1 + lb.y2) / 2.0, line_doc, rlo, rhi, rcount,
+                                         closed="left", fallback="centre"), 0)
+    col = locate_grouped((x1 + x2) / 2.0, tok_doc, lo, hi, count, closed="both",
+                         fallback="centre")
+    return line_row[tok_line], col, count
+
+
+def teacher_labels(is_header: np.ndarray, col: np.ndarray, max_columns: int) -> np.ndarray:
+    """``OTHER`` if col ∉ [0, max_columns) else ``{HEADER|BODY}_COL_{i}``
+    (``dataset_builder.py:225-238``), as an object array."""
+    names = np.array([f"{kind}_COL_{c}" for kind in ("BODY", "HEADER") for c in range(max_columns)]
+                     + ["OTHER"], dtype=object)
+    return names[np.where(col >= max_columns, 2 * max_columns, col + max_columns * is_header)]
 
 
 def build_example(doc_id: str, toks: TokenSOA,
@@ -63,41 +95,29 @@ def build_example(doc_id: str, toks: TokenSOA,
                   header_regexes: Optional[Sequence[str]] = None,
                   max_columns: int = 6,
                   compute_boxes: bool = True) -> Optional[Example]:
-    """Build one teacher-labeled example (``dataset_builder.py:167-265``).
+    """Build one teacher-labeled example (``dataset_builder.py:167-265``):
+    one doc's :func:`teacher_batch`, its grid of non-empty words per
+    (row, column) and the header split.
 
     Returns ``None`` where the reference raises (no tokens / lines /
     columns) — the Ray pipeline keeps the document with an error marker
     instead of poisoning the block.
     """
-    if len(toks) == 0:
+    lb = doc_line_batch(toks)
+    row, col, count = teacher_batch(lb, toks, expected_n_cols)
+    if not count[0]:
         return None
-    lines = build_lines(toks)
-    if not lines:
-        return None
-    col_intervals = estimate_columns(lines, toks, expected_n_cols=expected_n_cols)
-    if not col_intervals:
-        return None
-    row_intervals = compute_row_intervals_db(lines, toks)
-    # no row intervals (no text): every line is row 0 (dataset_builder.py:83-85)
-    line_to_row = np.maximum(locate([(ln.y1 + ln.y2) / 2.0 for ln in lines], row_intervals,
-                                    closed="left", fallback="centre"), 0)
-    idx = np.concatenate([ln.idx for ln in lines])
-    tok_row = np.repeat(line_to_row, [ln.idx.size for ln in lines]).tolist()
-    tok_col = locate(toks.xc[idx], col_intervals, closed="both", fallback="centre").tolist()
-    words = toks.text[idx].tolist()
-
-    col_count = len(col_intervals)
-    cells = [[[] for _ in range(col_count)] for _ in range(int(line_to_row.max()) + 1)]
-    for r, c, word in zip(tok_row, tok_col, words):
-        cells[r][c].append(word)
-    grid_rows = [[" ".join(filter(None, c)).strip() for c in row] for row in cells]
+    idx = lb.members
+    words = toks.text[idx]
+    full = np.flatnonzero(words != "")
+    full = full[np.lexsort((col[full], row[full]))]
+    (r, c), text = join_runs((row[full], col[full]), words[full], lambda w: " ".join(w).strip())
+    grid = np.full((int(row.max()) + 1, int(count[0])), "", dtype=object)
+    grid[r, c] = text
+    grid_rows = grid.tolist()
     header_row, body_rows = detect_header_row(
         grid_rows, header_regexes=list(header_regexes) if header_regexes else None)
-    header_idx = grid_rows.index(header_row) if header_row else None
-
-    is_hdr = [r == header_idx for r in tok_row]
-    labels = ["OTHER" if c >= max_columns else f"{'HEADER' if h else 'BODY'}_COL_{c}"
-              for c, h in zip(tok_col, is_hdr)]
+    is_hdr = row == (grid_rows.index(header_row) if header_row else -1)
 
     bboxes: List[List[int]] = []
     if compute_boxes:
@@ -109,8 +129,9 @@ def build_example(doc_id: str, toks: TokenSOA,
                          .astype(np.int64))
         bboxes = np.stack(cols4, axis=1).tolist()
 
-    return Example(doc_id=doc_id, words=words, bboxes=bboxes, labels=labels,
-                   row_ids=tok_row, col_ids=tok_col, is_header=is_hdr,
+    return Example(doc_id=doc_id, words=words.tolist(), bboxes=bboxes,
+                   labels=teacher_labels(is_hdr, col, max_columns).tolist(),
+                   row_ids=row.tolist(), col_ids=col.tolist(), is_header=is_hdr.tolist(),
                    table_header=header_row or [], table_rows=body_rows,
-                   n_rows=len(body_rows), n_cols=col_count,
+                   n_rows=len(body_rows), n_cols=int(count[0]),
                    token_order=idx.tolist())

@@ -3,11 +3,13 @@
 The reference repeats the projection-profile valley algorithm five times
 (``columns.py:21-41``, ``rows.py:26-47``, ``grid_builder.py:39-55``,
 ``layout_transformers.py:228-255,313-338``, ``dataset_builder.py:49-80``);
-here it is ONE parameterized primitive (:func:`valley_cuts`) whose
-per-call thresholds reproduce each call site exactly.  Interval coverage
-is accumulated with a difference array + cumsum instead of the
-reference's O(tokens × width) slice-adds — identical profile, linear
+here it is ONE parameterized primitive (:func:`valley_cuts_batch`) whose
+per-call thresholds reproduce each call site exactly. It profiles many
+segments (one per document) at once: one difference array over the
+concatenated segment ranges, one cumsum and one zero-run scan, instead of
+the reference's O(tokens × width) slice-adds — identical profile, linear
 cost, which matters for very wide multi-page documents.
+:func:`valley_cuts` is one segment of it.
 
 Line building (:func:`build_lines_batch`), span merging
 (:func:`merge_spans`) and percentiles (:func:`fast_percentile`) take a
@@ -18,25 +20,26 @@ running-band line sweep. The per-document entry points
 call the same code on a one-document batch.
 
 Every layout then runs the same two steps. The profile becomes intervals:
-:func:`cut_intervals` (the generic paths) and :func:`profile_intervals`
-(the model paths: a >= 1 px end guard and a full-extent fallback). Each
-point then goes to the interval that holds it, :func:`locate`, called once
-per document per site, or :func:`locate_grouped` once per batch over
-every document's padded intervals. The reference writes the second step
-once per module, each with its own quirk; here each quirk is one argument:
+:func:`profile_intervals_batch` (``guard``: the model paths' rules) and
+:func:`column_intervals_batch` (plus the ``expected_n_cols`` fit); one doc:
+:func:`profile_intervals`, :func:`estimate_columns`. Each point then goes
+to the interval that holds it, :func:`locate`, called once per document
+per site, or :func:`locate_grouped` once per batch over every document's
+padded intervals. The reference writes the second step once per module,
+each with its own quirk; here each quirk is one argument:
 
 * ``closed="both", fallback="boundary"``:
-  ``assigners.assign_words_to_columns``, per token (``assign.py:17-24``);
+  ``assigners.column_cells``, per token (``assign.py:17-24``);
   ``assigners.assign_dynamic_batch``, per numeric span, and the year
   headers of ``colmodel.numeric_columns_batch`` (``assign_dynamic.py:62-67``).
 * ``closed="left", fallback=None`` (the point is dropped):
-  ``records.merge_lines_into_rows``, record → row (``rows.py:54-61``);
+  ``records.merge_lines_batch``, record → row (``rows.py:54-61``);
   ``gridpro.professional_grid``, token → column (``grid_builder.py:134-142``).
-* ``closed="left", fallback="centre"``: ``databuild.build_example``,
+* ``closed="left", fallback="centre"``: ``databuild.teacher_batch``,
   line → row (``dataset_builder.py:83-105``);
   ``transformers_layout.assign_tokens_to_rows``
   (``layout_transformers.py:341-360``).
-* ``closed="both", fallback="centre"``: ``databuild.build_example``,
+* ``closed="both", fallback="centre"``: ``databuild.teacher_batch``,
   token → column (``dataset_builder.py:108-119``);
   ``transformers_layout.assign_columns_from_intervals``, which keeps a
   valid model column (``layout_transformers.py:291-310``).
@@ -82,6 +85,21 @@ class LineBatch(NamedTuple):
     y2: np.ndarray
     starts: np.ndarray
     members: np.ndarray
+
+    def select(self, docs: np.ndarray) -> "LineBatch":
+        """The batch of the docs in the mask ``docs`` (``members`` still
+        index the whole batch's tokens)."""
+        keep = np.repeat(docs, np.diff(self.doc_lines))
+        sizes = np.diff(self.starts)
+        return LineBatch(np.concatenate(([0], np.cumsum(np.diff(self.doc_lines)[docs]))),
+                         self.page[keep], self.x1[keep], self.y1[keep], self.x2[keep],
+                         self.y2[keep], np.concatenate(([0], np.cumsum(sizes[keep]))),
+                         self.members[np.repeat(keep, sizes)])
+
+    def member_line_doc(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(line, doc)`` of every member token."""
+        line = np.repeat(np.arange(len(self.page)), np.diff(self.starts))
+        return line, np.repeat(np.arange(len(self.doc_lines) - 1), np.diff(self.doc_lines))[line]
 
     def per_doc(self, word_offsets: np.ndarray) -> List[List[Line]]:
         """Each doc's lines as :class:`Line` tuples with doc-local ``idx``."""
@@ -197,49 +215,64 @@ def build_lines_batch(word_offsets: np.ndarray, toks: TokenSOA, has_lid: np.ndar
     )
 
 
-def build_lines(toks: TokenSOA) -> List[Line]:
-    """One document's visual lines: :func:`build_lines_batch` over a
-    one-doc batch."""
+def doc_line_batch(toks: TokenSOA) -> LineBatch:
+    """One document's :func:`build_lines_batch`."""
     n = len(toks)
     has_lid = (np.array([bool(v) for v in toks.line_id], dtype=bool)
                if toks.line_id is not None else np.zeros(n, dtype=bool))
-    offsets = np.array([0, n], dtype=np.int64)
-    return build_lines_batch(offsets, toks, has_lid).per_doc(offsets)[0]
+    return build_lines_batch(np.array([0, n], dtype=np.int64), toks, has_lid)
 
 
-def valley_cuts(
-    starts: np.ndarray,
-    ends: np.ndarray,
-    lo: int,
-    hi: int,
-    min_gap_len: int,
-) -> Optional[List[int]]:
+def build_lines(toks: TokenSOA) -> List[Line]:
+    """One document's visual lines: :func:`build_lines_batch` over a
+    one-doc batch."""
+    return doc_line_batch(toks).per_doc(np.zeros(1, dtype=np.int64))[0]
+
+
+def valley_cuts_batch(seg: np.ndarray, starts: np.ndarray, ends: np.ndarray, lo: np.ndarray,
+                      hi: np.ndarray, min_gap: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`valley_cuts` of many segments at once: segment ``s`` profiles
+    the intervals ``[starts, ends)`` of its points (``seg == s``) over
+    ``[lo[s], hi[s])``. One difference array over the concatenated ranges
+    (each segment's deltas sum to zero and lie at or before its end, so
+    none leaks into the next), one cumsum, one zero-run scan. Returns
+    ``(has_zero, cut_seg, cut)``: ``has_zero[s]`` is False where
+    :func:`valley_cuts` returns ``None``; cuts flat, segment-major."""
+    lo, hi = np.asarray(lo, dtype=np.int64), np.asarray(hi, dtype=np.int64)
+    size = np.maximum(hi - lo, 0)
+    base = np.concatenate(([0], np.cumsum(size)))
+    total = int(base[-1])
+    b, s = base[:-1][seg], size[seg]
+    diff = (np.bincount(b + np.clip(np.asarray(starts, dtype=np.int64) - lo[seg], 0, s),
+                        minlength=total + 1)
+            - np.bincount(b + np.clip(np.asarray(ends, dtype=np.int64) - lo[seg], 0, s),
+                          minlength=total + 1))
+    zeros = np.flatnonzero(np.cumsum(diff[:-1]) == 0)
+    zseg = np.searchsorted(base, zeros, side="right") - 1
+    brk = np.ones(len(zeros), dtype=bool)
+    brk[1:] = (np.diff(zeros) != 1) | (zseg[1:] != zseg[:-1])
+    first = np.flatnonzero(brk)
+    last = np.append(first[1:], len(zeros)) - 1
+    long = last - first + 1 > min_gap
+    first, last = first[long], last[long]
+    cut_seg = zseg[first]
+    # mean of a consecutive integer run == midpoint, truncated
+    cut = lo[cut_seg] + (zeros[first] + zeros[last] - 2 * base[cut_seg]) // 2
+    return np.bincount(zseg, minlength=len(lo)) > 0, cut_seg, cut
+
+
+def valley_cuts(starts: np.ndarray, ends: np.ndarray, lo: int, hi: int, min_gap_len: int
+                ) -> Optional[List[int]]:
     """Zero-coverage valleys of the 1-D projection profile over ``[lo, hi)``.
 
     Returns the midpoints of every zero-run strictly longer than
     ``min_gap_len`` pixels, or ``None`` when the profile has no zero at
     all (the reference's "no gaps" branch — also taken when the profile
-    is empty, i.e. ``hi <= lo``).
+    is empty, i.e. ``hi <= lo``). One segment of :func:`valley_cuts_batch`.
     """
-    size = int(hi) - int(lo)
-    if size <= 0:
-        return None
-    diff = np.zeros(size + 1, dtype=np.int64)
-    np.add.at(diff, np.clip(np.asarray(starts, dtype=np.int64) - lo, 0, size), 1)
-    np.add.at(diff, np.clip(np.asarray(ends, dtype=np.int64) - lo, 0, size), -1)
-    profile = np.cumsum(diff[:-1])
-    zeros = np.flatnonzero(profile == 0)
-    if zeros.size == 0:
-        return None
-    breaks = np.flatnonzero(np.diff(zeros) != 1)
-    run_first = np.concatenate(([0], breaks + 1))
-    run_last = np.concatenate((breaks, [zeros.size - 1]))
-    cuts: List[int] = []
-    for a, b in zip(run_first, run_last):
-        if (b - a + 1) > min_gap_len:
-            # mean of a consecutive integer run == midpoint, truncated
-            cuts.append(int(lo) + (int(zeros[a]) + int(zeros[b])) // 2)
-    return cuts
+    has_zero, _, cut = valley_cuts_batch(np.zeros(len(starts), dtype=np.int64), starts, ends,
+                                         [int(lo)], [int(hi)], min_gap_len)
+    return cut.tolist() if has_zero[0] else None
 
 
 def cut_intervals(lo: int, hi: int, mids: Sequence[int], min_size: int
@@ -250,19 +283,62 @@ def cut_intervals(lo: int, hi: int, mids: Sequence[int], min_size: int
     return [(a, b) for a, b in zip(cuts, cuts[1:]) if b - a > min_size]
 
 
+def profile_intervals_batch(seg: np.ndarray, starts: np.ndarray, ends: np.ndarray, n_seg: int,
+                            min_gap: int, min_size: int, guard: bool = False
+                            ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Projection profile → intervals of every segment at once: over
+    ``[min starts, max ends)`` of a segment's points (``seg``, sorted),
+    valleys longer than ``min_gap`` cut (:func:`valley_cuts_batch`), the
+    intervals between distinct cuts wider than ``min_size`` stay
+    (:func:`cut_intervals`), and a segment without a valley gets its full
+    extent. ``guard`` is the model paths' rule: every point covers >= 1
+    px, and a segment left without intervals also gets its full extent.
+
+    Returns ``(lo, hi, count, valley)``: intervals padded to
+    ``(n_seg, widest)``, and whether the segment's profile had a zero.
+    A segment without points gets no interval.
+    """
+    n_pts = np.bincount(seg, minlength=n_seg)
+    has = n_pts > 0
+    first = (np.cumsum(n_pts) - n_pts)[has]
+    lo = np.zeros(n_seg, dtype=np.int64)
+    hi = np.zeros(n_seg, dtype=np.int64)
+    if len(first):
+        lo[has] = np.minimum.reduceat(starts, first)
+        hi[has] = np.maximum.reduceat(ends, first)
+    cover = np.maximum(ends, starts + 1) if guard else ends
+    valley, cut_seg, cut = valley_cuts_batch(seg, starts, cover, lo, hi, min_gap)
+    # cuts: lo, the valley midpoints and hi of each segment with a valley
+    vs = np.flatnonzero(valley)
+    cseg = np.concatenate((vs, cut_seg, vs))
+    val = np.concatenate((lo[vs], cut, hi[vs]))
+    order = np.lexsort((val, cseg))
+    cseg, val = cseg[order], val[order]
+    new = np.ones(len(cseg), dtype=bool)
+    new[1:] = (cseg[1:] != cseg[:-1]) | (val[1:] != val[:-1])
+    cseg, val = cseg[new], val[new]
+    pair = np.flatnonzero((cseg[1:] == cseg[:-1]) & (val[1:] - val[:-1] > min_size))
+    count = np.bincount(cseg[pair], minlength=n_seg)
+    full = np.flatnonzero(has & (~valley | (guard & (count == 0))))
+    count[full] = 1
+    iseg = np.concatenate((cseg[pair], full))
+    order = np.argsort(iseg, kind="stable")
+    rank = np.arange(len(iseg)) - (np.cumsum(count) - count)[iseg[order]]
+    out = np.zeros((2, n_seg, int(count.max(initial=0))), dtype=np.int64)
+    out[:, iseg[order], rank] = np.concatenate(([val[pair], val[pair + 1]],
+                                                [lo[full], hi[full]]), axis=1)[:, order]
+    return out[0], out[1], count, valley
+
+
 def profile_intervals(starts: np.ndarray, ends: np.ndarray, min_gap: int, min_size: int
                       ) -> List[Tuple[int, int]]:
     """Projection profile → intervals of the model paths
     (``dataset_builder.py:49-80`` ≡ ``layout_transformers.py:228-255,313-338``):
-    every token covers >= 1 px (``end = max(start + 1, ...)``), valleys
-    longer than ``min_gap`` cut, :func:`cut_intervals` wider than
-    ``min_size``, and the full extent when there is no valley or no
-    interval."""
-    lo, hi = int(starts.min()), int(ends.max())
-    mids = valley_cuts(starts, np.maximum(ends, starts + 1), lo, hi, min_gap)
-    if mids is None:
-        return [(lo, hi)]
-    return cut_intervals(lo, hi, mids, min_size) or [(lo, hi)]
+    one segment of :func:`profile_intervals_batch` with its guard."""
+    lo, hi, count, _ = profile_intervals_batch(
+        np.zeros(len(starts), dtype=np.int64), np.asarray(starts, dtype=np.int64),
+        np.asarray(ends, dtype=np.int64), 1, min_gap, min_size, guard=True)
+    return list(zip(lo[0, :count[0]].tolist(), hi[0, :count[0]].tolist()))
 
 
 def locate(points, intervals: Sequence[Tuple[int, int]], closed: str = "both",
@@ -324,52 +400,47 @@ def _locate(p: np.ndarray, lo: np.ndarray, hi: np.ndarray, closed: str,
     return np.where(out, dist, -1.0).argmin(axis=1)
 
 
-def estimate_columns(
-    lines: Sequence[Line],
-    toks: TokenSOA,
-    min_col_width: int = 25,
-    col_valley_px: int = 5,
-    expected_n_cols: Optional[int] = None,
-) -> List[Tuple[int, int]]:
-    """Column intervals from the vertical projection profile
-    (reference ``columns.py:5-72``).
+def column_intervals_batch(seg: np.ndarray, x1: np.ndarray, x2: np.ndarray, n_seg: int,
+                           min_col_width: int = 25, col_valley_px: int = 5,
+                           expected_n_cols: Optional[int] = None
+                           ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Column intervals from the vertical projection profile of every
+    segment's non-empty tokens at once (reference ``columns.py:5-72``):
+    :func:`profile_intervals_batch` with valleys longer than
+    ``col_valley_px`` and intervals at least ``min_col_width`` wide. An
+    ``expected_n_cols`` target merges the closest pair / splits the
+    widest interval of each segment with a valley whose count is off
+    (``columns.py:51-70``). Returns ``(lo, hi, count)``, padded."""
+    lo, hi, count, valley = profile_intervals_batch(seg, x1, x2, n_seg, col_valley_px,
+                                                    min_col_width - 1)
+    n = expected_n_cols or 0
+    off = np.flatnonzero(valley & (count != n) & (count > 0)) if n > 0 else []
+    if len(off):
+        lo, hi = (np.pad(a, ((0, 0), (0, max(a.shape[1], n) - a.shape[1]))) for a in (lo, hi))
+    for d in off:
+        iv = list(zip(lo[d, :count[d]].tolist(), hi[d, :count[d]].tolist()))
+        while len(iv) > n:
+            j = int(np.argmin([iv[i + 1][0] - iv[i][1] for i in range(len(iv) - 1)]))
+            iv = iv[:j] + [(iv[j][0], iv[j + 1][1])] + iv[j + 2:]
+        while len(iv) < n:
+            j = int(np.argmax([r - l for l, r in iv]))
+            (l, r), mid = iv[j], iv[j][0] + (iv[j][1] - iv[j][0]) // 2
+            iv = iv[:j] + [(l, mid), (mid, r)] + iv[j + 1:]
+        lo[d, :n], hi[d, :n] = zip(*iv)
+        count[d] = n
+    return lo, hi, count
 
-    Valleys longer than ``col_valley_px`` become cut points at the valley
-    midpoint; intervals narrower than ``min_col_width`` are dropped; an
-    ``expected_n_cols`` target merges the closest pair / splits the widest
-    interval until satisfied (``columns.py:51-70``).
-    """
-    if not lines:
-        return []
-    idx = np.concatenate([ln.idx for ln in lines])
+
+def estimate_columns(lines: Sequence[Line], toks: TokenSOA, min_col_width: int = 25,
+                     col_valley_px: int = 5, expected_n_cols: Optional[int] = None
+                     ) -> List[Tuple[int, int]]:
+    """One doc's :func:`column_intervals_batch` over its lines' tokens."""
+    idx = np.concatenate([ln.idx for ln in lines]) if lines else np.zeros(0, dtype=np.int64)
     idx = idx[toks.text[idx] != ""]
-    if idx.size == 0:
-        return []
-    x1 = toks.x1[idx]
-    x2 = toks.x2[idx]
-    x_min = int(x1.min())
-    x_max = int(x2.max())
-    mids = valley_cuts(x1, x2, x_min, x_max, col_valley_px)
-    if mids is None:
-        return [(x_min, x_max)]
-    intervals = cut_intervals(x_min, x_max, mids, min_col_width - 1)
-
-    if expected_n_cols and expected_n_cols > 0 and len(intervals) != expected_n_cols:
-        while len(intervals) > expected_n_cols:
-            dists = [intervals[i + 1][0] - intervals[i][1] for i in range(len(intervals) - 1)]
-            if not dists:
-                break
-            j = int(np.argmin(dists))
-            intervals = intervals[:j] + [(intervals[j][0], intervals[j + 1][1])] + intervals[j + 2:]
-        while len(intervals) < expected_n_cols:
-            widths = [r - l for l, r in intervals]
-            if not widths:
-                break
-            j = int(np.argmax(widths))
-            l, r = intervals[j]
-            mid = l + widths[j] // 2
-            intervals = intervals[:j] + [(l, mid), (mid, r)] + intervals[j + 1:]
-    return intervals
+    lo, hi, count = column_intervals_batch(np.zeros(idx.size, dtype=np.int64), toks.x1[idx],
+                                           toks.x2[idx], 1, min_col_width, col_valley_px,
+                                           expected_n_cols)
+    return list(zip(lo[0, :count[0]].tolist(), hi[0, :count[0]].tolist()))
 
 
 def fast_percentile(values: np.ndarray, starts: np.ndarray, q: float) -> np.ndarray:
@@ -457,6 +528,21 @@ def gather_lines(lines: Sequence[Line], toks: TokenSOA
     idx = np.concatenate([ln.idx for ln in lines]) if lines else np.zeros(0, dtype=np.int64)
     starts = np.concatenate(([0], np.cumsum([ln.idx.size for ln in lines], dtype=np.int64)))
     return toks.x1[idx], toks.x2[idx], toks.text[idx], starts
+
+
+def join_runs(keys: Sequence[np.ndarray], words: np.ndarray, join=" ".join
+              ) -> Tuple[List[np.ndarray], np.ndarray]:
+    """Per run of consecutive equal ``keys`` (read across all the key
+    arrays), the run's keys and ``join`` of its ``words`` (an object
+    array)."""
+    new = np.arange(len(words)) == 0
+    for k in keys:
+        new[1:] |= k[1:] != k[:-1]
+    first = np.flatnonzero(new)
+    w, bounds = words.tolist(), first.tolist() + [len(words)]
+    out = np.empty(len(first), dtype=object)
+    out[:] = [join(w[a:b]) for a, b in zip(bounds, bounds[1:])]
+    return [k[first] for k in keys], out
 
 
 def group_by_line(span_starts: np.ndarray, *cols) -> List[List[tuple]]:

@@ -2,11 +2,13 @@
 
 :func:`extract_document` is one pure function: one document's tokens in,
 (header, rows[, numeric rows]) out. The Ray pipeline applies it per
-document inside ``map_batches`` for the generic, financial and
-professional layouts; the dynamic layout runs over every dynamic document
-of a batch at once (:func:`dynamic_grids`), and ``extract_document`` calls
-the same code on one document. Layout is selectable per run or per row
-(SURVEY.md §2.11 — the reference's strategy-pattern extension point).
+document inside ``map_batches`` for the financial and professional
+layouts; the dynamic and generic layouts run over every such document
+of a batch at once (:func:`dynamic_grids`, :func:`generic_grids`), and
+``extract_document`` calls the same code on one document. The
+transformers compose stage runs :func:`generic_grids` as its primary
+path. Layout is selectable per run or per row (SURVEY.md §2.11 — the
+reference's strategy-pattern extension point).
 """
 
 from __future__ import annotations
@@ -17,16 +19,17 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from ..config import LayoutConfig
-from .assigners import assign_dynamic_batch, assign_financial, assign_words_to_columns
+from .assigners import assign_dynamic_batch, assign_financial, column_cells
 from .colmodel import numeric_columns_batch
 from .doc import TokenSOA
-from .geometry import build_lines, dynamic_spans, estimate_columns, gather_lines
+from .geometry import (LineBatch, build_lines, column_intervals_batch, doc_line_batch,
+                       dynamic_spans, gather_lines)
 from .gridpro import professional_grid
 from .numeric import to_number
 from .postprocess import fill_missing_labels_and_clean
-from .records import (detect_header_row, merge_financial_rows, merge_lines_into_rows,
+from .records import (detect_header_row, merge_financial_rows, merge_lines_batch,
                       merge_rows_batch)
-from .spans import GridRows
+from .spans import GridRows, grid_rows
 
 LAYOUTS = ("generic", "dynamic", "financial", "professional")
 
@@ -103,6 +106,46 @@ def dynamic_grids(doc_lines: np.ndarray, y1: np.ndarray, y2: np.ndarray, starts:
     return grids[0], grids[1], n_rows, n_cols
 
 
+def generic_grids(lb: LineBatch, toks: TokenSOA, cfg: LayoutConfig
+                  ) -> Tuple[GridRows, np.ndarray, np.ndarray]:
+    """The generic layout (``main.py:142-163``) of every doc of ``lb`` in
+    whole-batch passes: columns (:func:`.geometry.column_intervals_batch`),
+    cells (:func:`.assigners.column_cells`), each line a record, row merge
+    (:func:`.records.merge_lines_batch`), the first row as header (with
+    ``cfg.header_regexes``, :func:`.records.detect_header_row` per doc).
+    Returns grid rows and ``n_rows`` / ``n_cols`` per doc (0 without rows)."""
+    n_docs = len(lb.doc_lines) - 1
+    tok_line, tok_doc = lb.member_line_doc()
+    m = lb.members
+    x1, x2, text = toks.x1[m], toks.x2[m], toks.text[m]
+    filled = text != ""
+    lo, hi, count = column_intervals_batch(
+        tok_doc[filled], x1[filled], x2[filled], n_docs, cfg.min_col_width, cfg.col_valley_px,
+        cfg.expected_n_cols)
+    cell_line, cell_col, cell_text = column_cells(tok_line, tok_doc, (x1 + x2) / 2.0, text,
+                                                  lo, hi, count)
+    line_doc = np.repeat(np.arange(n_docs), np.diff(lb.doc_lines))
+    rec = np.flatnonzero(count[line_doc] > 0)        # every line of a doc with columns
+    rec_of = np.full(len(line_doc), -1, dtype=np.int64)
+    rec_of[rec] = np.arange(len(rec))
+    _, row_doc, _, (r, col, cells) = merge_lines_batch(
+        n_docs, tok_doc[filled], toks.y1[m][filled], toks.y2[m][filled], line_doc[rec],
+        (lb.y1[rec] + lb.y2[rec]) / 2, rec_of[cell_line], cell_col, cell_text,
+        cfg.row_valley_px, cfg.row_min_height)
+    grid = np.full((len(row_doc), lo.shape[1]), "", dtype=object)
+    grid[r, col] = cells
+    length = count[row_doc]
+    first = np.r_[True, row_doc[1:] != row_doc[:-1]][:len(row_doc)]
+    rows = GridRows(row_doc, length, first, grid[np.arange(lo.shape[1]) < length[:, None]])
+    per_doc = np.bincount(row_doc, minlength=n_docs)
+    if cfg.header_regexes:
+        docs = np.flatnonzero(per_doc)
+        grids = rows._replace(header=np.zeros_like(first)).grids(n_docs)
+        rows = grid_rows([detect_header_row(grids[d][1], list(cfg.header_regexes))
+                          for d in docs], docs)
+    return rows, np.maximum(per_doc - 1, 0), np.where(per_doc > 0, count, 0)
+
+
 def extract_document(toks: TokenSOA, cfg: LayoutConfig) -> DocResult:
     """Reconstruct one document's table under ``cfg.layout``.
 
@@ -141,22 +184,7 @@ def extract_document(toks: TokenSOA, cfg: LayoutConfig) -> DocResult:
         return DocResult(header=header, rows=rows, rows_numeric=rows_numeric)
 
     if layout == "generic":
-        intervals = estimate_columns(
-            lines, toks,
-            min_col_width=cfg.min_col_width,
-            col_valley_px=cfg.col_valley_px,
-            expected_n_cols=cfg.expected_n_cols,
-        )
-        records = assign_words_to_columns(lines, toks, intervals)
-        grid_rows = merge_lines_into_rows(
-            records, lines, toks,
-            row_valley_px=cfg.row_valley_px,
-            row_min_height=cfg.row_min_height,
-        )
-        header_row, body = detect_header_row(
-            grid_rows,
-            header_regexes=list(cfg.header_regexes) if cfg.header_regexes else None,
-        )
-        return DocResult(header=header_row or [], rows=body)
+        (header, rows), = generic_grids(doc_line_batch(toks), toks, cfg)[0].grids(1)
+        return DocResult(header=header, rows=rows)
 
     raise ValueError(f"unknown layout: {cfg.layout!r}")

@@ -3,9 +3,10 @@
 Reference semantics preserved exactly, including the quirks that are
 contract for span-equality:
 
-* record → row is ``locate(closed="left", fallback=None)``: a record
-  whose y-center falls outside every row interval is dropped
-  (``rows.py:54-61``);
+* record → row is ``locate_grouped(closed="left", fallback=None)``: a
+  record whose y-center falls outside every row interval is dropped
+  (``rows.py:54-61``); :func:`merge_lines_batch` runs it for every doc of
+  a batch at once, ``merge_lines_into_rows`` on one doc;
 * within a row, cells are right-padded to the longest record before the
   cell-wise space-join merge (``rows.py:69-78``);
 * ``merge_rows_batch`` (one doc: ``merge_financial_rows``) never merges
@@ -16,6 +17,7 @@ contract for span-equality:
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from statistics import median
@@ -24,7 +26,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .doc import TokenSOA
-from .geometry import Line, cut_intervals, locate, valley_cuts
+from .geometry import Line, join_runs, locate_grouped, profile_intervals_batch
 
 
 @dataclass
@@ -44,6 +46,48 @@ def _join_cells(a: str, b: str) -> str:
     return " ".join([a, b]).strip() if a and b else (a or b)
 
 
+def merge_lines_batch(
+    n_docs: int,
+    tok_doc: np.ndarray,
+    tok_y1: np.ndarray,
+    tok_y2: np.ndarray,
+    rec_doc: np.ndarray,
+    rec_yc: np.ndarray,
+    cell_rec: np.ndarray,
+    cell_col: np.ndarray,
+    cell_text: np.ndarray,
+    row_valley_px: int = 2,
+    row_min_height: int = 5,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Horizontal-projection row merge (reference ``rows.py:8-80``) of
+    every doc of a batch at once. Row intervals: the profile of each doc's
+    non-empty tokens (``tok_doc``-sorted) with valleys longer than
+    ``row_valley_px`` and rows taller than ``row_min_height``. A record
+    goes to the row holding its centre ``rec_yc`` or is dropped; without
+    a valley all of a doc's records make one row. A row cell folds its
+    records' non-empty cells (``cell_rec``/``cell_col``/``cell_text``) by
+    ``_join_cells`` in record order.
+
+    Returns ``(row, row_doc, valley, (cell_row, cell_col, cell_text))``:
+    each record's row in the batch (-1: dropped; doc-major, interval
+    order), each row's doc, whether each doc had a valley, and every
+    non-empty row cell.
+    """
+    lo, hi, count, valley = profile_intervals_batch(tok_doc, tok_y1, tok_y2, n_docs,
+                                                    row_valley_px, row_min_height)
+    at = np.where(valley[rec_doc], locate_grouped(rec_yc, rec_doc, lo, hi, count,
+                                                  closed="left", fallback=None), 0)
+    kept = at >= 0
+    key, inv = np.unique(rec_doc[kept] * (lo.shape[1] + 1) + at[kept], return_inverse=True)
+    row = np.full(len(rec_doc), -1, dtype=np.int64)
+    row[kept] = inv
+    c = np.flatnonzero((row[cell_rec] >= 0) & (cell_text != ""))
+    c = c[np.lexsort((cell_rec[c], cell_col[c], row[cell_rec[c]]))]
+    (r, col), text = join_runs((row[cell_rec[c]], cell_col[c]), cell_text[c],
+                               lambda w: functools.reduce(_join_cells, w))
+    return row, key // (lo.shape[1] + 1), valley, (r, col, text)
+
+
 def merge_lines_into_rows(
     records: Sequence[Record],
     lines: Sequence[Line],
@@ -51,49 +95,28 @@ def merge_lines_into_rows(
     row_valley_px: int = 2,
     row_min_height: int = 5,
 ) -> List[List[str]]:
-    """Horizontal-projection row merge (reference ``rows.py:8-80``)."""
-    if not records:
-        return []
+    """One doc's :func:`merge_lines_batch`. A row is as wide as its widest
+    record; without a valley the one row is as wide as the narrowest
+    record (the reference's ``zip``); without non-empty tokens every
+    record is a row."""
     idx = np.concatenate([ln.idx for ln in lines]) if lines else np.array([], dtype=np.int64)
-    if idx.size:
-        idx = idx[toks.text[idx] != ""]
-    if idx.size == 0:
+    idx = idx[toks.text[idx] != ""]
+    if not records or idx.size == 0:
         return [list(r.cells) for r in records]
-
-    y1 = toks.y1[idx]
-    y2 = toks.y2[idx]
-    y_min = int(y1.min())
-    y_max = int(y2.max())
-    mids = valley_cuts(y1, y2, y_min, y_max, row_valley_px)
-    if mids is None:
-        # no gaps at all: a single merged row (rows.py:34-39); note the
-        # reference zip truncates to the shortest record seen so far
-        final_row: List[str] = ["" for _ in records[0].cells]
-        for r in records:
-            final_row = [_join_cells(a, b) for a, b in zip(final_row, r.cells)]
-        return [final_row]
-
-    row_intervals = cut_intervals(y_min, y_max, mids, row_min_height)
-    row_of = locate([(r.y_top + r.y_bot) / 2 for r in records], row_intervals,
-                    closed="left", fallback=None)
-    buckets: List[List[List[str]]] = [[] for _ in row_intervals]
-    for r, i in zip(records, row_of.tolist()):
-        if i >= 0:
-            buckets[i].append(list(r.cells))
-
-    final_rows: List[List[str]] = []
-    for group in buckets:
-        if not group:
-            continue
-        max_len = max(len(cells) for cells in group)
-        for cells in group:
-            while len(cells) < max_len:
-                cells.append("")
-        final_row = ["" for _ in range(max_len)]
-        for cells in group:
-            final_row = [_join_cells(a, b) for a, b in zip(final_row, cells)]
-        final_rows.append(final_row)
-    return final_rows
+    width = np.array([len(r.cells) for r in records])
+    row, _, valley, (r, col, text) = merge_lines_batch(
+        1, np.zeros(idx.size, dtype=np.int64), toks.y1[idx], toks.y2[idx],
+        np.zeros(len(records), dtype=np.int64),
+        np.array([(rec.y_top + rec.y_bot) / 2 for rec in records]),
+        np.repeat(np.arange(len(records)), width), np.concatenate([np.arange(w) for w in width]),
+        np.array([c for rec in records for c in rec.cells], dtype=object),
+        row_valley_px, row_min_height)
+    out = [[""] * int(width[row == i].max() if valley[0] else width.min())
+           for i in range(row.max() + 1)]
+    for i, j, t in zip(r.tolist(), col.tolist(), text.tolist()):
+        if j < len(out[i]):
+            out[i][j] = t
+    return out
 
 
 def merge_rows_batch(

@@ -15,10 +15,10 @@ from __future__ import annotations
 import functools
 from typing import Optional
 
+import numpy as np
 import pyarrow as pa
 
 from ..core.databuild import build_example
-from ..core.doc import TokenSOA
 from ..stages.extract import decode_token_batch
 
 
@@ -29,16 +29,12 @@ def build_examples_batch(batch: pa.Table, expected_n_cols=None,
     Documents the teacher cannot label (no tokens/lines/columns —
     reference raises, ``dataset_builder.py:183-196``) come out with
     ``error`` set instead of poisoning the block (SURVEY.md §4.2)."""
-    word_offsets, toks, has_lid = decode_token_batch(batch["spans"])
+    word_offsets, toks, _ = decode_token_batch(batch["spans"])
     doc_ids = batch["doc_id"].to_pylist()
     rows = []
     for i in range(batch.num_rows):
-        sl = slice(word_offsets[i], word_offsets[i + 1])
-        doc = TokenSOA(text=toks.text[sl], page=toks.page[sl],
-                       x1=toks.x1[sl], y1=toks.y1[sl],
-                       x2=toks.x2[sl], y2=toks.y2[sl],
-                       line_id=toks.line_id[sl] if has_lid[sl].any() else None)
-        ex = build_example(str(doc_ids[i]), doc,
+        ex = build_example(str(doc_ids[i]), toks.take(np.arange(word_offsets[i],
+                                                                word_offsets[i + 1])),
                            expected_n_cols=expected_n_cols,
                            header_regexes=header_regexes,
                            max_columns=max_columns)

@@ -3,16 +3,21 @@
 One batch holds many documents (one row each, ``spans`` list column).
 The whole batch is decoded ONCE into flat numpy arrays (vectorized
 ``pyarrow.compute`` kernels — no per-row ``to_pylist``); the crop and line
-building run once over those arrays. The dynamic documents then stay in
-flat arrays through the whole layout (:func:`core.layouts.dynamic_grids`:
-column model, assignment, row merge, numeric rows) until their grid rows
-reach the one span encoder (:func:`core.spans.encode_rows`); the pure
-per-document kernel (:func:`core.layouts.extract_document`) runs the other
-layouts over offset slices. Stateless → plain function → Ray task stage.
+building run once over those arrays. The dynamic and generic documents
+then stay in flat arrays through their whole layout
+(:func:`core.layouts.dynamic_grids`: column model, assignment, row merge,
+numeric rows; :func:`core.layouts.generic_grids`: column profile, cells,
+row merge, header) until their grid rows reach the one span encoder
+(:func:`core.spans.encode_rows`); a batch pass that raises re-runs its
+documents one at a time (:func:`isolated_pass`). The pure per-document
+kernel (:func:`core.layouts.extract_document`) runs the financial and
+professional layouts over offset slices. Stateless → plain function →
+Ray task stage.
 """
 
 from __future__ import annotations
 
+import logging
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -22,7 +27,7 @@ import pyarrow.compute as pc
 from ..config import LayoutConfig
 from ..core.doc import TokenSOA
 from ..core.geometry import build_lines_batch
-from ..core.layouts import DocResult, dynamic_grids, extract_document
+from ..core.layouts import DocResult, dynamic_grids, extract_document, generic_grids
 from ..core.spans import (BBOX_PATTERN, KIND_WORD, GridRows, encode_rows, flat_spans,
                           grid_rows, span_list_column)
 
@@ -102,26 +107,32 @@ def crop_token_batch(word_offsets: np.ndarray, toks: TokenSOA, has_lid: np.ndarr
     return cum[word_offsets], toks.take(idx), has_lid[idx]
 
 
-def batch_line_inputs(word_offsets: np.ndarray, toks: TokenSOA, has_lid: np.ndarray,
-                      layouts: Sequence[str]) -> Tuple[List[list], tuple]:
-    """The visual lines of every doc but the ``professional`` ones (whose
-    grid ignores them), in one pass over the whole batch: per doc as
-    :class:`Line` lists (``[]`` for every doc when all are dynamic), and
-    for the ``dynamic`` docs as the flat arrays :func:`dynamic_grids`
-    takes, ``(docs, doc_lines, y1, y2, starts, x1, x2, text)``."""
-    lb = build_lines_batch(word_offsets, toks, has_lid,
-                           include=np.array([lay != "professional" for lay in layouts], dtype=bool))
-    dyn = np.array([lay == "dynamic" for lay in layouts], dtype=bool)
-    n_lines = np.diff(lb.doc_lines)
-    dyn_lines = np.repeat(dyn, n_lines)
-    sizes = np.diff(lb.starts)
-    m = lb.members[np.repeat(dyn_lines, sizes)]
-    dynamic = (np.flatnonzero(dyn), np.concatenate(([0], np.cumsum(n_lines[dyn]))),
-               lb.y1[dyn_lines], lb.y2[dyn_lines],
-               np.concatenate(([0], np.cumsum(sizes[dyn_lines]))),
-               toks.x1[m], toks.x2[m], toks.text[m])
-    lines = [[]] * len(layouts) if dyn.all() else lb.per_doc(word_offsets)
-    return lines, dynamic
+def isolated_pass(run, docs: np.ndarray, n_grids: int, errors: List[str],
+                  counts: np.ndarray) -> List[GridRows]:
+    """The ``n_grids`` grids of ``run(docs)``, a whole-batch layout pass
+    returning ``(grids, n_rows, n_cols)`` by position in ``docs``,
+    renumbered by batch doc; ``n_rows`` / ``n_cols`` go to the columns
+    ``docs`` of ``counts``. If the pass raises, its docs run again one at
+    a time and a doc that still raises gets its ``error`` and no rows: a
+    malformed document must not poison its block (SURVEY.md §4.2)."""
+    if not len(docs):
+        return [grid_rows([])] * n_grids
+    try:
+        parts = [(docs, run(docs))]
+    except Exception as exc:  # noqa: BLE001
+        logging.getLogger(__name__).warning(
+            "batch pass failed (%r); re-running its %d docs one at a time", exc, len(docs))
+        parts = []
+        for d in docs.tolist():
+            try:
+                parts.append((np.array([d]), run(np.array([d]))))
+            except Exception as err:  # noqa: BLE001
+                errors[d] = f"{type(err).__name__}: {err}"[:200]
+    for sel, (_, rows, cols) in parts:
+        counts[:, sel] = rows, cols
+    return [GridRows.concat([grid_rows([])] + [g[k]._replace(doc=sel[g[k].doc])
+                                              for sel, (g, _, _) in parts])
+            for k in range(n_grids)]
 
 
 def extract_batch(tbl: pa.Table, cfg: LayoutConfig) -> pa.Table:
@@ -133,10 +144,11 @@ def extract_batch(tbl: pa.Table, cfg: LayoutConfig) -> pa.Table:
     null layout value fall back to ``cfg.layout``.
 
     The ``table_bbox`` crop and line building run once over the whole
-    batch; so does the whole dynamic layout (:func:`dynamic_grids`). The
-    other layouts run per document (:func:`extract_document`), where an
-    exception costs only that document its result. One encoder pass
-    builds each span column.
+    batch; so do the whole dynamic and generic layouts
+    (:func:`dynamic_grids`, :func:`generic_grids`). The other layouts run
+    per document (:func:`extract_document`). Either way an exception
+    costs only the document that raises its result (:func:`isolated_pass`).
+    One encoder pass builds each span column.
     """
     import dataclasses
 
@@ -161,38 +173,37 @@ def extract_batch(tbl: pa.Table, cfg: LayoutConfig) -> pa.Table:
                 row_cfgs[i] = cfg_cache[lay]
                 out_layout[i] = lay
     layouts = [(c.layout or "dynamic").lower() for c in row_cfgs]
-    lines, (dyn_docs, *dyn_inputs) = batch_line_inputs(word_offsets, toks, has_lid, layouts)
+    lb = build_lines_batch(word_offsets, toks, has_lid,
+                           include=np.array([lay != "professional" for lay in layouts], dtype=bool))
 
-    n_rows = np.zeros(n, dtype=np.int32)
-    n_cols = np.zeros(n, dtype=np.int32)
+    def dynamic_pass(docs):
+        sel = lb.select(np.isin(np.arange(n), docs))
+        m = sel.members
+        spans, numeric, rows, cols = dynamic_grids(sel.doc_lines, sel.y1, sel.y2, sel.starts,
+                                                   toks.x1[m], toks.x2[m], toks.text[m], cfg)
+        return (spans, numeric), rows, cols
+
+    def generic_pass(docs):
+        grid, rows, cols = generic_grids(lb.select(np.isin(np.arange(n), docs)), toks, cfg)
+        return (grid,), rows, cols
+
+    n_rows, n_cols = counts = np.zeros((2, n), dtype=np.int32)
     errors: List[str] = [""] * n
-    spans_parts: List[GridRows] = []
-    numeric = grid_rows([])
-    if len(dyn_docs):
-        spans, numeric, n_rows[dyn_docs], n_cols[dyn_docs] = dynamic_grids(*dyn_inputs, cfg)
-        spans_parts.append(spans._replace(doc=dyn_docs[spans.doc]))
-        numeric = numeric._replace(doc=dyn_docs[numeric.doc])
+    def docs_of(layout):
+        return np.array([i for i, lay in enumerate(layouts) if lay == layout], dtype=np.int64)
 
-    others = [i for i, lay in enumerate(layouts) if lay != "dynamic"]
+    dyn_spans, numeric = isolated_pass(dynamic_pass, docs_of("dynamic"), 2, errors, counts)
+    spans_parts = [dyn_spans] + isolated_pass(generic_pass, docs_of("generic"), 1, errors, counts)
+
+    others = [i for i, lay in enumerate(layouts) if lay not in ("dynamic", "generic")]
+    lines = lb.per_doc(word_offsets) if "financial" in layouts else [[]] * n
     grids = []
     for i in others:
-        lo, hi = word_offsets[i], word_offsets[i + 1]
-        sl = slice(lo, hi)
-        doc = TokenSOA(
-            text=toks.text[sl],
-            page=toks.page[sl],
-            x1=toks.x1[sl],
-            y1=toks.y1[sl],
-            x2=toks.x2[sl],
-            y2=toks.y2[sl],
-            line_id=toks.line_id[sl] if has_lid[sl].any() else None,
-            lines=lines[i],
-        )
+        doc = dataclasses.replace(toks.take(np.arange(word_offsets[i], word_offsets[i + 1])),
+                                  lines=lines[i])
         try:
             res: DocResult = extract_document(doc, row_cfgs[i])
         except Exception as exc:  # noqa: BLE001
-            # a malformed document must not poison its whole block
-            # (SURVEY.md §4.2 retries row): emit an empty result + error
             res = DocResult()
             errors[i] = f"{type(exc).__name__}: {exc}"[:200]
         grids.append((res.header, res.rows))

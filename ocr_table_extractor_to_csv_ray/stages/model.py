@@ -12,27 +12,32 @@ builder uses (``dataset_builder.py:225-238``) — the exact label
 vocabulary (``HEADER_COL_i``/``BODY_COL_i``/``OTHER``) a fine-tuned
 model would emit. Actor plumbing (load-once ``__init__``, batched
 ``__call__``) is real and identical to a weights-backed scorer.
+
+Both stages work on whole batches: the teacher labels a batch in one
+pass (``core.databuild.teacher_batch``; a weights-backed scorer still
+runs one forward pass per document), and the compose stage runs the
+primary path for the batch at once (``core.layouts.generic_grids``); only
+a document the primary path leaves without rows goes through the
+fallbacks, alone.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 import pyarrow as pa
 
 from ..config import LayoutConfig
 from ..core.cleaners import process_grid_data
-from ..core.databuild import build_example
+from ..core.databuild import teacher_batch, teacher_labels
 from ..core.doc import TokenSOA
-from ..core.geometry import build_lines, estimate_columns
+from ..core.geometry import LineBatch, build_lines_batch, doc_line_batch
 from ..core.gridpro import professional_grid
-from ..core.layouts import DocResult
-from ..core.records import detect_header_row, merge_lines_into_rows
-from ..core.spans import encode_rows, grid_rows
+from ..core.layouts import DocResult, generic_grids
+from ..core.spans import GridRows, encode_rows, grid_rows
 from ..core.transformers_layout import Predictions, compose_table
-from ..core.assigners import assign_words_to_columns
-from .extract import decode_token_batch
+from .extract import _combine, decode_token_batch
 
 
 class LayoutScorerStage:
@@ -116,6 +121,17 @@ class LayoutScorerStage:
             collapsed += ["OTHER"] * (len(words) - len(collapsed))
         return collapsed[:len(words)]
 
+    def _teacher(self, lb: LineBatch, toks: TokenSOA) -> np.ndarray:
+        """Teacher labels of every token of a batch, in token order
+        (:func:`..core.databuild.teacher_batch`; the header is the first
+        row); ``OTHER`` for the tokens of a doc without columns."""
+        labels = np.full(len(toks), "OTHER", dtype=object)
+        row, col, count = teacher_batch(lb, toks)
+        ok = count[lb.member_line_doc()[1]] > 0
+        labels[lb.members[ok]] = teacher_labels(row[ok] == 0, col[ok],
+                                                self.cfg.max_model_columns)
+        return labels
+
     def _score_doc(self, doc_id: str, toks: TokenSOA) -> List[str]:
         if self._backend == "layoutlmv3" and len(toks):
             try:
@@ -125,66 +141,60 @@ class LayoutScorerStage:
                 logging.getLogger(__name__).warning(
                     "LayoutLMv3 forward failed for doc %s (%s: %s) — "
                     "teacher-stub fallback", doc_id, type(ex).__name__, ex)
-        ex = build_example(doc_id, toks, max_columns=self.cfg.max_model_columns,
-                           compute_boxes=False)   # labels only — skip box math
-        if ex is None:
-            return ["OTHER"] * len(toks)
-        labels = ["OTHER"] * len(toks)
-        for ti, lab in zip(ex.token_order, ex.labels):
-            labels[ti] = lab
-        return labels
+        return self._teacher(doc_line_batch(toks), toks).tolist()
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         word_offsets, toks, has_lid = decode_token_batch(batch["spans"])
-        doc_ids = batch["doc_id"].to_pylist()
-        out_labels: List[List[str]] = []
-        for i in range(batch.num_rows):
-            sl = slice(word_offsets[i], word_offsets[i + 1])
-            doc = TokenSOA(text=toks.text[sl], page=toks.page[sl],
-                           x1=toks.x1[sl], y1=toks.y1[sl],
-                           x2=toks.x2[sl], y2=toks.y2[sl],
-                           line_id=toks.line_id[sl] if has_lid[sl].any() else None)
-            out_labels.append(self._score_doc(str(doc_ids[i]), doc))
+        if self._backend == "layoutlmv3":
+            labels = [lab for i, doc_id in enumerate(batch["doc_id"].to_pylist())
+                      for lab in self._score_doc(str(doc_id), toks.take(
+                          np.arange(word_offsets[i], word_offsets[i + 1])))]
+        else:
+            labels = self._teacher(build_lines_batch(word_offsets, toks, has_lid), toks)
         out = batch
         if "labels" in out.column_names:
             out = out.drop_columns(["labels"])
-        return out.append_column("labels", pa.array(out_labels, pa.list_(pa.string())))
+        return out.append_column("labels", pa.ListArray.from_arrays(
+            pa.array(word_offsets, pa.int32()), pa.array(labels, pa.string())))
+
+
+def transformers_grids(word_offsets: np.ndarray, toks: TokenSOA, labels_of,
+                       cfg: LayoutConfig) -> Tuple[GridRows, np.ndarray, np.ndarray]:
+    """The 3-level fallback chain (``layout_transformers.py:502-565``) of
+    every doc of a batch (doc ``d`` owns tokens
+    ``word_offsets[d]:word_offsets[d + 1]``, ``labels_of(d)`` its labels):
+    grid rows and ``n_rows`` / ``n_cols`` per doc. PRIMARY, for the whole
+    batch: the generic heuristics over the tokens with page 1 and no line
+    ids (``:505-514``), ``expected_n_cols or max_model_columns`` columns.
+    A doc with tokens left without rows goes alone to FALLBACK 1, the
+    table composed from its labels (G17-G21), then FALLBACK 2, the
+    professional grid (``:552-561``), body cells stripped."""
+    target_cols = cfg.expected_n_cols or cfg.max_model_columns
+    flat = TokenSOA(text=toks.text, page=np.ones(len(toks), dtype=np.int64),
+                    x1=toks.x1, y1=toks.y1, x2=toks.x2, y2=toks.y2, line_id=None)
+    primary, n_rows, n_cols = generic_grids(
+        build_lines_batch(word_offsets, flat, np.zeros(len(toks), dtype=bool)), flat,
+        LayoutConfig(expected_n_cols=target_cols, header_regexes=cfg.header_regexes))
+    rest = np.flatnonzero((n_cols == 0) & (np.diff(word_offsets) > 0)).tolist()
+    grids = []
+    for d in rest:
+        doc = flat.take(np.arange(word_offsets[d], word_offsets[d + 1]))
+        header, rows = compose_table(Predictions.from_labels(doc, labels_of(d)),
+                                     max_columns=target_cols)
+        if not rows:
+            header, rows = professional_grid(doc)
+        res = DocResult(header=header, rows=process_grid_data(rows))
+        grids.append((res.header, res.rows))
+        n_rows[d], n_cols[d] = res.n_rows, res.n_cols
+    return GridRows.concat([primary, grid_rows(grids, rest)]), n_rows, n_cols
 
 
 def transformers_extract_doc(toks: TokenSOA, labels: List[str],
                              cfg: LayoutConfig) -> DocResult:
-    """The 3-level fallback chain (``layout_transformers.py:502-565``),
-    given tokens + model labels for ONE document."""
-    if len(toks) == 0:
-        return DocResult()
-    target_cols = cfg.expected_n_cols or cfg.max_model_columns
-
-    # PRIMARY: generic heuristics over rebuilt tokens (page forced to 1,
-    # layout_transformers.py:505-514)
-    flat = TokenSOA(text=toks.text, page=np.ones(len(toks), dtype=np.int64),
-                    x1=toks.x1, y1=toks.y1, x2=toks.x2, y2=toks.y2, line_id=None)
-    lines = build_lines(flat)
-    if lines:
-        intervals = estimate_columns(lines, flat, expected_n_cols=target_cols)
-        if intervals:
-            records = assign_words_to_columns(lines, flat, intervals)
-            merged = merge_lines_into_rows(records, lines, flat)
-            if merged:
-                header_row, body = detect_header_row(
-                    merged,
-                    header_regexes=list(cfg.header_regexes) if cfg.header_regexes else None)
-                return DocResult(header=header_row or [],
-                                 rows=process_grid_data(body))
-
-    # FALLBACK 1: compose purely from model labels (G17-G21)
-    preds = Predictions.from_labels(flat, labels)
-    header, rows = compose_table(preds, max_columns=target_cols or cfg.max_model_columns)
-    if rows:
-        return DocResult(header=header, rows=process_grid_data(rows))
-
-    # FALLBACK 2: spatial professional grid (layout_transformers.py:552-561)
-    header, body = professional_grid(flat)
-    return DocResult(header=header, rows=process_grid_data(body))
+    """One doc's :func:`transformers_grids`."""
+    grid, _, _ = transformers_grids(np.array([0, len(toks)]), toks, lambda d: labels, cfg)
+    (header, rows), = grid.grids(1)
+    return DocResult(header=header, rows=rows)
 
 
 class TransformersExtractStage:
@@ -196,25 +206,16 @@ class TransformersExtractStage:
         self.cfg = cfg or LayoutConfig(layout="transformers")
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        word_offsets, toks, has_lid = decode_token_batch(batch["spans"])
-        labels_col = batch["labels"].to_pylist()
+        word_offsets, toks, _ = decode_token_batch(batch["spans"])
+        labels = batch["labels"]
+        # a labels list covers the doc's word spans in span order == token order
+        grid, n_rows, n_cols = transformers_grids(word_offsets, toks,
+                                                  lambda d: labels[d].as_py() or [], self.cfg)
         n = batch.num_rows
-        grids, n_rows, n_cols = [], np.zeros(n, np.int32), np.zeros(n, np.int32)
-        for i in range(n):
-            sl = slice(word_offsets[i], word_offsets[i + 1])
-            doc = TokenSOA(text=toks.text[sl], page=toks.page[sl],
-                           x1=toks.x1[sl], y1=toks.y1[sl],
-                           x2=toks.x2[sl], y2=toks.y2[sl], line_id=None)
-            # labels list covers word spans in span order == token order
-            labs = labels_col[i] or []
-            res = transformers_extract_doc(doc, labs, self.cfg)
-            grids.append((res.header, res.rows))
-            n_rows[i], n_cols[i] = res.n_rows, res.n_cols
-        doc_id = batch["doc_id"].combine_chunks() if isinstance(batch["doc_id"], pa.ChunkedArray) else batch["doc_id"]
         return pa.table({
-            "doc_id": doc_id,
+            "doc_id": _combine(batch["doc_id"]),
             "layout": pa.array(["transformers"] * n, pa.string()),
-            "n_rows": pa.array(n_rows),
-            "n_cols": pa.array(n_cols),
-            "spans": encode_rows(grid_rows(grids), n),
+            "n_rows": pa.array(n_rows.astype(np.int32)),
+            "n_cols": pa.array(n_cols.astype(np.int32)),
+            "spans": encode_rows(grid, n),
         })

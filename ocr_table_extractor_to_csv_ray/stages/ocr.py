@@ -258,7 +258,7 @@ class OcrStage:
         ex_text: List[str] = []
         ex_ref: List[str] = []
         ex_off: List[int] = []
-        row_extra = np.zeros(n_rows, np.int64)
+        ref_words: List[int] = []
         cur_row, page, off = -1, 0, 0
         for r, ref in zip(media_row, media_refs):
             if r != cur_row:
@@ -266,13 +266,16 @@ class OcrStage:
                 off = (int(offs_np[starts[r]:starts[r + 1]].max()) + 1
                        if lens[r] else 0)
             page += 1
-            for text, x1, y1, x2, y2 in self._ocr_one(ref):
+            words = self._ocr_one(ref)
+            for text, x1, y1, x2, y2 in words:
                 ex_text.append(text)
                 ex_ref.append(encode_bbox_ref(page, x1, y1, x2, y2))
                 ex_off.append(off)
                 off += 1
-                row_extra[r] += 1
-        n_vals, n_extra = len(values), len(ex_text)
+            ref_words.append(len(words))
+        ex_row = np.repeat(media_row, ref_words)
+        row_extra = np.bincount(ex_row, minlength=n_rows)
+        n_extra = len(ex_text)
         built = {
             "kind": pa.nulls(n_extra, values.field("kind").type).fill_null(KIND_WORD),
             "text": pa.array(ex_text, values.field("text").type),
@@ -282,19 +285,10 @@ class OcrStage:
         extras = pa.StructArray.from_arrays(
             [built[f.name] for f in values.type], fields=list(values.type))
         combined = pa.concat_arrays([values, extras])
-        # splice: row originals, then that row's extras
-        ex_starts = np.concatenate(([0], np.cumsum(row_extra)))
-        idx = np.empty(n_vals + n_extra, np.int64)
-        pos = 0
-        for r in range(n_rows):
-            no, ne = int(lens[r]), int(row_extra[r])
-            idx[pos:pos + no] = np.arange(starts[r], starts[r] + no)
-            pos += no
-            if ne:
-                idx[pos:pos + ne] = n_vals + np.arange(ex_starts[r],
-                                                       ex_starts[r] + ne)
-                pos += ne
-        new_values = combined.take(pa.array(idx))
+        # splice: row originals, then that row's extras (a stable sort by
+        # row keeps the originals, which come first, ahead of the extras)
+        new_values = combined.take(pa.array(np.argsort(
+            np.concatenate((np.repeat(np.arange(n_rows), lens), ex_row)), kind="stable")))
         new_starts = np.concatenate(([0], np.cumsum(lens + row_extra)))
         new_col = pa.ListArray.from_arrays(
             pa.array(new_starts, pa.int32()), new_values)

@@ -383,6 +383,34 @@ class TestDynamicStage:
         assert out["error"].to_pylist()[0].startswith("ValueError")
         assert out["error"].to_pylist()[1] == "" and out["n_rows"].to_pylist()[1] > 0
 
+    @pytest.mark.parametrize("layout", ["dynamic", "generic"])
+    def test_crash_in_a_batch_pass_costs_one_doc(self, monkeypatch, layout):
+        """A batch pass that raises on one doc's tokens re-runs its docs
+        one at a time: that doc gets the error, every other doc its
+        clean output."""
+        import ocr_table_extractor_to_csv_ray.stages.extract as stage
+        rng = np.random.default_rng(17)
+        docs = [random_doc(rng, 6, 3) for _ in range(7)]
+        docs[3] = [("BOOM",) + row[1:] for row in docs[3]]
+        layouts = [layout, "financial", layout, layout, "", layout, "professional"]
+        cfg = LayoutConfig(layout=layout)
+        clean = extract_batch(table_of(docs, layouts), cfg).to_pylist()
+        name = f"{layout}_grids"
+        real = getattr(stage, name)
+
+        def crashing(*args):
+            texts = args[6] if layout == "dynamic" else args[1].text[args[0].members]
+            if "BOOM" in set(texts.tolist()):
+                raise RuntimeError("bad doc")
+            return real(*args)
+
+        monkeypatch.setattr(stage, name, crashing)
+        got = extract_batch(table_of(docs, layouts), cfg).to_pylist()
+        assert got[3]["error"] == "RuntimeError: bad doc" and got[3]["spans"] == []
+        assert (got[3]["n_rows"], got[3]["n_cols"]) == (0, 0)
+        assert got[:3] + got[4:] == clean[:3] + clean[4:]
+        assert all(r["error"] == "" for r in clean)
+
 
 # ---------------------------------------------------------------------------
 # the batch steps, one by one

@@ -18,12 +18,16 @@ the sha1 of the JSON-encoded result. Sections:
   ``expected_n_cols`` 2, 3 and 5 and with header regexes;
 * ``specks``: ``extract_document`` on the doc with specks added under
   each of the four heuristic layouts, which sends records, tokens and
-  year spans through the drop or fallback of their ``locate`` sites.
+  year spans through the drop or fallback of their ``locate`` sites;
+* ``media``: 200 ``media_interleaved`` docs (seed 0) through the four
+  stages of the transformers plan (rasterize, OCR, scorer, compose) at
+  the plan's batch sizes: the ``labels`` and the output ``spans`` of each.
 
 Like ``kernel_golden.json`` it is an oracle that needs no reference
 checkout. Regenerate (only for an intended output change) with
-``python tests/test_model_golden.py``; it rewrites only the sections it
-computes.
+``python tests/test_model_golden.py``; it rewrites only the first five
+sections. ``python tests/test_model_golden.py media`` rewrites only
+``media``.
 """
 
 from __future__ import annotations
@@ -148,6 +152,69 @@ def compute() -> dict:
             "compose": compose, "generic": generic, "specks": specks}
 
 
+MEDIA_DOCS = 200
+MEDIA_BATCHES = (64, 64, 32, 256)   # rasterize, OCR, scorer, compose (EngineConfig)
+
+
+def media_ocr_table():
+    """The ``media`` input after rasterize and OCR."""
+    from ocr_table_extractor_to_csv_ray.sources.synthetic import CORPUS_SCHEMA, make_doc
+    from ocr_table_extractor_to_csv_ray.stages.ocr import OcrStage, PdfRasterizeStage
+    from ocr_table_extractor_to_csv_ray.config import LayoutConfig
+    import pyarrow as pa
+    t = pa.Table.from_pylist([make_doc(i, 0, "media_interleaved") for i in range(MEDIA_DOCS)],
+                             schema=CORPUS_SCHEMA)
+    for stage, size in ((PdfRasterizeStage(), MEDIA_BATCHES[0]),
+                        (OcrStage(cfg=LayoutConfig(layout="transformers")), MEDIA_BATCHES[1])):
+        t = _staged(stage, t, size)
+    return t
+
+
+def _staged(stage, t, size):
+    import pyarrow as pa
+    return pa.concat_tables([stage(t.slice(i, size)) for i in range(0, t.num_rows, size)])
+
+
+def media_chain(t, scorer_batch=MEDIA_BATCHES[2], compose_batch=MEDIA_BATCHES[3]) -> dict:
+    """Per-doc digests of the scorer's ``labels`` and of the composed
+    ``spans`` (with ``n_rows``, ``n_cols``) of the OCR'd table ``t``."""
+    from ocr_table_extractor_to_csv_ray.config import LayoutConfig
+    from ocr_table_extractor_to_csv_ray.stages.model import (LayoutScorerStage,
+                                                             TransformersExtractStage)
+    from tests.test_kernel_golden import _span_tuples
+    cfg = LayoutConfig(layout="transformers")
+    scorer = LayoutScorerStage.__new__(LayoutScorerStage)
+    scorer.cfg, scorer._backend = cfg, "teacher-stub"
+    labeled = _staged(scorer, t, scorer_batch)
+    out = _staged(TransformersExtractStage(cfg), labeled, compose_batch)
+    assert out["doc_id"].to_pylist() == t["doc_id"].to_pylist()
+    return {"labels": [_digest(labs) for labs in labeled["labels"].to_pylist()],
+            "spans": [_digest([r["n_rows"], r["n_cols"], _span_tuples(r["spans"])])
+                      for r in out.to_pylist()]}
+
+
+@pytest.fixture(scope="module")
+def media_input():
+    return media_ocr_table()
+
+
+def test_media_golden(media_input):
+    with open(GOLDEN) as fh:
+        want = json.load(fh)["media"]
+    for name, got in media_chain(media_input).items():
+        diff = [i for i, (g, w) in enumerate(zip(got, want[name])) if g != w]
+        assert not diff and len(got) == len(want[name]), (
+            f"media/{name}: {len(diff)} docs differ from the snapshot, "
+            f"first corpus positions {diff[:5]}")
+
+
+@pytest.mark.parametrize("size", [1, 7, 32, 256])
+def test_media_batch_size_invariant(media_input, size):
+    """The scorer and the compose stage give every doc the same output
+    whatever batch it lands in."""
+    assert media_chain(media_input, size, size) == media_chain(media_input)
+
+
 @pytest.fixture(scope="module")
 def computed():
     return compute()
@@ -169,5 +236,8 @@ if __name__ == "__main__":
     import sys
     sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
     from tests.test_kernel_golden import write_section
-    for key, value in compute().items():
-        write_section(GOLDEN, key, value, "per-doc digests")
+    if sys.argv[1:] == ["media"]:
+        write_section(GOLDEN, "media", media_chain(media_ocr_table()), "per-doc digests")
+    else:
+        for key, value in compute().items():
+            write_section(GOLDEN, key, value, "per-doc digests")

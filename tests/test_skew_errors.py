@@ -73,38 +73,45 @@ def test_extract_after_guard_equals_direct(ray_session, corpus_dir):
 
 
 def test_error_isolation():
-    """A doc that crashes the kernel yields an error row, not a lost block."""
+    """A doc that crashes the kernel yields an error row, not a lost block:
+    inside a whole-batch pass (generic, re-run one doc at a time) and
+    inside the per-doc kernel (financial)."""
+    ok = [{"kind": "word", "text": "a", "media_ref": "bbox://p1/1,1,20,20", "offset": 0}]
     bad = [{"kind": "word", "text": "x", "media_ref": "bbox://p1/5,5,9,9", "offset": 0}]
     tbl = pa.table({
-        "doc_id": pa.array(["ok", "boom"]),
-        "spans": pa.array([
-            [{"kind": "word", "text": "a", "media_ref": "bbox://p1/1,1,20,20", "offset": 0}],
-            bad,
-        ], pa.list_(SPAN_TYPE)),
+        "doc_id": pa.array(["ok", "boom", "ok-fin", "boom-fin"]),
+        "spans": pa.array([ok, bad, ok, bad], pa.list_(SPAN_TYPE)),
+        "layout": pa.array(["generic", "generic", "financial", "financial"]),
     })
     import ocr_table_extractor_to_csv_ray.core.layouts as L
-    orig = L.extract_document
+    orig, orig_pass = L.extract_document, L.generic_grids
 
     def exploding(toks, cfg):
         if len(toks) and toks.text[0] == "x":
             raise RuntimeError("synthetic kernel crash")
         return orig(toks, cfg)
 
-    L.extract_document = exploding
+    def exploding_pass(lb, toks, cfg):
+        if "x" in set(toks.text[lb.members].tolist()):
+            raise RuntimeError("synthetic kernel crash")
+        return orig_pass(lb, toks, cfg)
+
+    L.extract_document, L.generic_grids = exploding, exploding_pass
     try:
         import importlib
         import ocr_table_extractor_to_csv_ray.stages.extract as X
-        importlib.reload(X)  # rebind the patched symbol
+        importlib.reload(X)  # rebind the patched symbols
         out = X.extract_batch(tbl, LayoutConfig(layout="generic"))
     finally:
-        L.extract_document = orig
+        L.extract_document, L.generic_grids = orig, orig_pass
         import importlib
         import ocr_table_extractor_to_csv_ray.stages.extract as X
         importlib.reload(X)
-    assert out.num_rows == 2
+    assert out.num_rows == 4
     errs = out["error"].to_pylist()
-    assert errs[0] == "" and "RuntimeError" in errs[1]
-    assert out["spans"].to_pylist()[1] == []
+    assert errs[0] == errs[2] == "" and "RuntimeError" in errs[1] and "RuntimeError" in errs[3]
+    spans = out["spans"].to_pylist()
+    assert spans[1] == spans[3] == [] and spans[0] and spans[2]
 
 
 def test_split_preserves_extra_columns(corpus_200):

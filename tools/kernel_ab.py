@@ -1,15 +1,18 @@
 """Interleaved single-process A/B of ``extract_batch`` between two checkouts.
 
     python tools/kernel_ab.py OLD_CHECKOUT NEW_CHECKOUT [--seed 42] [--docs 3000] [-k 5]
-        [--layout dynamic|generic|financial|professional|mixed]
+        [--layout dynamic|generic|financial|professional|mixed|transformers]
 
 Both sides time one corpus, ``corpus_table(docs, seed)``, in batches of
 ``--batch`` docs; each side is a child process importing the engine from its
 checkout, and the sides take turns for ``k`` rounds. ``--layout mixed`` adds
 a per-row ``layout`` column cycling generic/financial/professional/dynamic,
 as the ``mixed_layouts_tail`` benchmark does, so one run times that kernel
-mix. Prints each side's min-of-k and median ms/doc and the sha1 of its
-output (Arrow IPC bytes).
+mix. ``--layout transformers`` times the ``media_ocr`` kernels instead: the
+``media_interleaved`` corpus is rasterized and OCR'd once, before any timing,
+and each round runs ``LayoutScorerStage`` (32-doc batches) then
+``TransformersExtractStage`` (256-doc batches) over it. Prints each side's
+min-of-k and median ms/doc and the sha1 of its output (Arrow IPC bytes).
 """
 
 from __future__ import annotations
@@ -27,11 +30,17 @@ sys.path.insert(0, sys.argv[1])
 import pyarrow as pa, pyarrow.parquet as pq
 from ocr_table_extractor_to_csv_ray.config import LayoutConfig
 from ocr_table_extractor_to_csv_ray.stages.extract import extract_batch
+from ocr_table_extractor_to_csv_ray.stages.model import LayoutScorerStage, TransformersExtractStage
 t, bs, cfg = pq.read_table(sys.argv[2]), int(sys.argv[3]), LayoutConfig(layout=sys.argv[4])
-batches = [t.slice(i, bs) for i in range(0, t.num_rows, bs)]
+slices = lambda t, size: [t.slice(i, size) for i in range(0, t.num_rows, size)]
+if cfg.layout == "transformers":
+    scorer, compose = LayoutScorerStage(cfg), TransformersExtractStage(cfg)
+    run = lambda: [compose(b) for b in slices(pa.concat_tables([scorer(b) for b in slices(t, 32)]), 256)]
+else:
+    run = lambda: [extract_batch(b, cfg) for b in slices(t, bs)]
 for _ in sys.stdin:
     t0 = time.perf_counter()
-    outs = [extract_batch(b, cfg) for b in batches]
+    outs = run()
     dt = time.perf_counter() - t0
     h = hashlib.sha1()
     for o in outs:
@@ -46,6 +55,19 @@ for _ in sys.stdin:
 MIXED = ("generic", "financial", "professional", "dynamic")
 
 
+def ocr_corpus(n_docs: int, seed: int):
+    """``n_docs`` ``media_interleaved`` docs after rasterize and OCR."""
+    import pyarrow as pa
+    from ocr_table_extractor_to_csv_ray.config import LayoutConfig
+    from ocr_table_extractor_to_csv_ray.sources.synthetic import CORPUS_SCHEMA, make_doc
+    from ocr_table_extractor_to_csv_ray.stages.ocr import OcrStage, PdfRasterizeStage
+    t = pa.Table.from_pylist([make_doc(i, seed, "media_interleaved") for i in range(n_docs)],
+                             schema=CORPUS_SCHEMA)
+    for stage in (PdfRasterizeStage(), OcrStage(cfg=LayoutConfig(layout="transformers"))):
+        t = pa.concat_tables([stage(t.slice(i, 64)) for i in range(0, t.num_rows, 64)])
+    return t
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("old")
@@ -58,7 +80,8 @@ def main() -> None:
     import pyarrow as pa
     import pyarrow.parquet as pq
     from ocr_table_extractor_to_csv_ray.sources.synthetic import corpus_table
-    corpus, layout = corpus_table(a.docs, a.seed), a.layout
+    layout = a.layout
+    corpus = (ocr_corpus if layout == "transformers" else corpus_table)(a.docs, a.seed)
     if layout == "mixed":
         corpus = corpus.append_column("layout", pa.array(
             [MIXED[i % len(MIXED)] for i in range(corpus.num_rows)], pa.string()))

@@ -8,12 +8,12 @@ or one process on a 4-CPU Ray that calls each ``__ray_entry__`` query on DIR
 once to warm up and reports the fastest of three more calls as ``Q.wall_s``.
 Each pair runs once in each checkout; the side that runs first alternates.
 Each run is its own process group under a timeout, and ``ray stop --force``
-runs after every run, so no Ray process outlives it. Prints one line per run,
-then for each metric (the end-to-end metrics of ``BENCHMARK.json``, or each
-query's wall time under the ``wall_s`` bound): both sides' median and
-quartiles, the pairs NEW won, OLD's IQR, and whether NEW meets the gain rule
-(wins at least 9 of 10 pairs, and its median beats OLD's by more than OLD's
-IQR). Exits non-zero when any run is not ``correct`` or has failed docs.
+runs after every run, so no Ray process outlives it. Prints one line per run
+with its rep walls, then for each metric (``BENCHMARK.json``'s end-to-end
+metrics, or each query's wall time under the ``wall_s`` bound): both sides'
+median and quartiles, the pairs NEW won, OLD's IQR, and whether NEW meets the
+gain rule (wins at least 9 of 10 pairs, and its median beats OLD's by more
+than OLD's IQR). Exits non-zero when any run is not ``correct`` or has failed docs.
 """
 
 from __future__ import annotations
@@ -91,11 +91,11 @@ def run_one(checkout: str, cmd: list) -> dict:
     lines = out.strip().splitlines()
     try:
         res = json.loads(lines[-1])
-        prov = [ln for ln in lines if ln.startswith('{"provenance"')]
-        res["digest"] = json.loads(prov[-1]).get("digest") if prov else None
+        prov = json.loads(next((ln for ln in lines[::-1] if ln.startswith('{"provenance"')), "{}"))
+        res["digest"], res["reps"] = prov.get("digest"), prov.get("rep_walls_s") or []
     except (IndexError, ValueError):
         tail = err.strip().splitlines()[-1:] or ["no output"]
-        res = {"correct": False, "failed": None, "metrics": {}, "digest": None}
+        res = {"correct": False, "failed": None, "metrics": {}, "digest": None, "reps": []}
         note += f": {tail[0]}"
     res["note"] = note
     return res
@@ -165,7 +165,8 @@ def main() -> int:
             vals = "  ".join(f"{m['name']}={r['metrics'][m['name']]['value']:.4g}"
                              for m in metrics if m["name"] in r["metrics"])
             print(f"{tag} {side}  {'correct' if ok else 'NOT CORRECT'}  "
-                  f"failed={r['failed']}  digest={str(r['digest'])[:12]}  {vals}  ({r['note']})",
+                  f"failed={r['failed']}  digest={str(r['digest'])[:12]}  {vals}  "
+                  f"reps_s={','.join(f'{w:.2f}' for w in r.get('reps', []))}  ({r['note']})",
                   flush=True)
 
     good = [i for i in range(len(runs["old"]))
